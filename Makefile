@@ -10,7 +10,7 @@ GO ?= go
 # throughput as commits_per_sec, so one gate metric covers every bench.
 BENCH_GATE_ARGS := -quick -bench commit,grow,query,index -format json
 
-.PHONY: build test test-race bench bench-baseline bench-gate cover cover-baseline metrics-smoke fault-sweep repl-smoke
+.PHONY: build test test-race bench bench-check bench-baseline bench-gate cover cover-baseline metrics-smoke fault-sweep repl-smoke
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,13 @@ test-race:
 
 bench:
 	$(GO) run ./cmd/ankerbench -quick
+
+# bench-check vets and short-tests the repo's benchmark (benchmark/, a
+# nested module compiled against ankerdb/internal/...): `go build ./...`
+# at the root does not see it, so an internal signature change that
+# breaks it would otherwise first fail in the benchmark pipeline.
+bench-check:
+	cd benchmark && $(GO) vet . && $(GO) test -short .
 
 # bench-baseline refreshes the committed bench-regression baseline.
 # Absolute throughput is machine-dependent: refresh it on the CI runner

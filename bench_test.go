@@ -142,3 +142,41 @@ func BenchmarkOLAPScan(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRemoteTransfer measures one write transaction through a
+// remote session on loopback — Begin, 4 Get, 4 Set, Commit: ten round
+// trips against a durable (SyncNone) serving primary. The same
+// transaction embedded is BenchmarkCommit's neighbourhood; the gap is
+// the wire data path.
+func BenchmarkRemoteTransfer(b *testing.B) {
+	db := openBenchDB(b, 1, ankerdb.WithDurability(b.TempDir()),
+		ankerdb.WithSyncPolicy(ankerdb.SyncNone), ankerdb.WithServeAddr("127.0.0.1:0"))
+	defer db.Close()
+	s, err := ankerdb.Dial(db.ServeAddr(), "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	rnd := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx, err := s.BeginTxn(ankerdb.OLTP)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < 4; k++ {
+			col, row := fmt.Sprintf("c%d", k), rnd.Intn(benchRows)
+			v, err := tx.Get("bench", col, row)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := tx.Set("bench", col, row, v+1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

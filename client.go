@@ -7,19 +7,23 @@ import (
 	"sync"
 	"time"
 
+	"ankerdb/internal/binenc"
 	"ankerdb/internal/repl"
 )
 
-// Remote session wire schema: one gob request struct and one gob
-// response struct cover every SessionTxn operation, single in-flight
-// per connection (the engine's session operations are synchronous
-// anyway). Engine sentinel errors cross the wire as codes from
-// wireSentinels, so errors.Is works identically against a remote
-// session.
+// Remote session wire schema: one request frame and one response frame
+// per SessionTxn operation, single in-flight per connection (the
+// engine's session operations are synchronous anyway), in the module's
+// one binary idiom (internal/binenc). Both layouts are op-tagged: the
+// leading op byte selects the fields that follow — the visits of
+// wireReq.Wire and wireResp.Wire below, tabulated in README
+// "Replication & serving". Engine sentinel errors cross the wire as
+// wireSentinels codes, so errors.Is works as against an embedded DB.
 
-// Session op codes.
+// Session op codes. opErr tags a failure response, never a request.
 const (
-	opBegin uint8 = iota + 1
+	opErr uint8 = iota
+	opBegin
 	opCommit
 	opAbort
 	opGet
@@ -35,7 +39,16 @@ const (
 	opStats
 )
 
-// wireReq is one session request frame (gob payload of MsgRequest).
+// insertVal is one column value of an Insert, flattened from the
+// map[string]any: an int64 or (IsStr) a string.
+type insertVal struct {
+	Name  string
+	IsStr bool
+	Val   int64
+	Str   string
+}
+
+// wireReq is one session request (payload of MsgRequest).
 type wireReq struct {
 	Op    uint8
 	Txn   uint64 // server-issued transaction handle (0 for Begin/Stats)
@@ -48,17 +61,66 @@ type wireReq struct {
 	Lo    int64
 	Hi    int64
 	Agg   Agg
-	// Insert's value map, flattened (gob has no map[string]any).
-	Names []string
-	Vals  []int64
-	Strs  []string
-	IsStr []bool
+	Ins   []insertVal
 }
 
-// wireResp is one session response frame (gob payload of MsgResponse).
+func (r *wireReq) Wire(x binenc.Codec) {
+	binenc.U8(x, &r.Op)
+	binenc.U64(x, &r.Txn)
+	switch r.Op {
+	case opBegin:
+		binenc.U8(x, &r.Class)
+	case opCommit, opAbort, opStats:
+	case opDelete:
+		x.Str(&r.Tab)
+		binenc.U64(x, &r.Row)
+	case opInsert:
+		x.Str(&r.Tab)
+		// A value takes at least name length + kind + string length.
+		if n := x.Len(len(r.Ins), 9); x.D != nil {
+			r.Ins = make([]insertVal, n)
+		}
+		for i := range r.Ins {
+			v := &r.Ins[i]
+			x.Str(&v.Name)
+			if x.Bool(&v.IsStr); v.IsStr {
+				x.Str(&v.Str)
+			} else {
+				binenc.U64(x, &v.Val)
+			}
+		}
+	case opGet, opGetString, opScan, opLookup, opFilter, opAggregate, opSet, opSetString:
+		x.Str(&r.Tab)
+		x.Str(&r.Col)
+		switch r.Op {
+		case opGet, opGetString:
+			binenc.U64(x, &r.Row)
+		case opLookup:
+			binenc.U64(x, &r.Val)
+		case opFilter:
+			binenc.U64(x, &r.Lo)
+			binenc.U64(x, &r.Hi)
+		case opAggregate:
+			binenc.U8(x, &r.Agg)
+		case opSet:
+			binenc.U64(x, &r.Row)
+			binenc.U64(x, &r.Val)
+		case opSetString:
+			binenc.U64(x, &r.Row)
+			x.Str(&r.Str)
+		}
+	default:
+		x.Fail(fmt.Errorf("unknown session op %d", r.Op))
+	}
+}
+
+// wireResp is one session response (payload of MsgResponse). Op echoes
+// the request's op; opErr marks a failure carrying Err and Msg. An OK
+// with no result is the op byte alone.
 type wireResp struct {
-	Err   uint8  // wireSentinels index; 0 = success
-	Msg   string // full error text when Err != 0
+	Op    uint8
+	Err   uint8  // wireSentinels index; 0 = no sentinel
+	Msg   string // full error text
 	Txn   uint64 // Begin: transaction handle
 	TS    uint64 // Begin: snapshot timestamp
 	Val   int64
@@ -66,7 +128,45 @@ type wireResp struct {
 	Row   int
 	Rows  []int
 	Vals  []int64
-	Stats *Stats
+	Stats string // Stats: repl.EncodeGob of the Stats struct, one blob
+}
+
+func (r *wireResp) Wire(x binenc.Codec) {
+	binenc.U8(x, &r.Op)
+	switch r.Op {
+	case opErr:
+		binenc.U8(x, &r.Err)
+		x.Str(&r.Msg)
+	case opBegin:
+		binenc.U64(x, &r.Txn)
+		binenc.U64(x, &r.TS)
+	case opGet, opAggregate:
+		binenc.U64(x, &r.Val)
+	case opGetString:
+		x.Str(&r.Str)
+	case opInsert:
+		binenc.U64(x, &r.Row)
+	case opLookup, opFilter:
+		wireInts(x, &r.Rows)
+	case opScan:
+		wireInts(x, &r.Vals)
+	case opStats:
+		x.Str(&r.Stats)
+	case opCommit, opAbort, opSet, opSetString, opDelete:
+	default:
+		x.Fail(fmt.Errorf("unknown session op %d", r.Op))
+	}
+}
+
+// wireInts visits a list of 8-byte integers: [n u32] n x [u64]. An
+// empty list decodes as nil, as the engine's own empty results are.
+func wireInts[T int | int64](x binenc.Codec, p *[]T) {
+	if n := x.Len(len(*p), 8); x.D != nil && n > 0 {
+		*p = make([]T, n)
+	}
+	for i := range *p {
+		binenc.U64(x, &(*p)[i])
+	}
 }
 
 // wireSentinels maps wire error codes to engine sentinels, so a remote
@@ -140,6 +240,14 @@ func wireToErr(code uint8, msg string) error {
 	return &remoteError{base: base, msg: msg}
 }
 
+// wireErrFrame rebuilds the error a MsgErr frame carries (best-effort:
+// an undecodable frame still yields a generic remote error).
+func wireErrFrame(payload []byte) error {
+	var we repl.WireErr
+	_ = repl.Decode(payload, &we)
+	return wireToErr(we.Code, we.Msg)
+}
+
 // RemoteSession is a Session over a network connection to a served
 // database (Dial). One connection, one in-flight request at a time;
 // open transactions are server-side state and die with the connection.
@@ -159,7 +267,7 @@ func Dial(addr, ns string) (*RemoteSession, error) {
 		return nil, err
 	}
 	c := repl.NewConn(nc)
-	if err := c.SendGob(repl.MsgHello, repl.Hello{Role: repl.RoleSession, Namespace: ns}); err != nil {
+	if err := c.SendBody(repl.MsgHello, &repl.Hello{Version: repl.ProtoVersion, Role: repl.RoleSession, Namespace: ns}); err != nil {
 		_ = c.Close()
 		return nil, err
 	}
@@ -172,10 +280,8 @@ func Dial(addr, ns string) (*RemoteSession, error) {
 	case repl.MsgWelcome:
 		return &RemoteSession{conn: c}, nil
 	case repl.MsgErr:
-		var we repl.WireErr
-		_ = repl.DecodeGob(payload, &we)
 		_ = c.Close()
-		return nil, wireToErr(we.Code, we.Msg)
+		return nil, wireErrFrame(payload)
 	default:
 		_ = c.Close()
 		return nil, fmt.Errorf("ankerdb: unexpected handshake frame type %d", typ)
@@ -190,7 +296,7 @@ func (s *RemoteSession) roundTrip(req *wireReq) (*wireResp, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	if err := s.conn.SendGob(repl.MsgRequest, req); err != nil {
+	if err := s.conn.SendBody(repl.MsgRequest, req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	typ, payload, err := s.conn.ReadMsg()
@@ -200,17 +306,18 @@ func (s *RemoteSession) roundTrip(req *wireReq) (*wireResp, error) {
 	switch typ {
 	case repl.MsgResponse:
 		var resp wireResp
-		if err := repl.DecodeGob(payload, &resp); err != nil {
+		if err := repl.Decode(payload, &resp); err != nil {
 			return nil, err
 		}
-		if resp.Err != 0 || resp.Msg != "" {
+		if resp.Op == opErr {
 			return nil, wireToErr(resp.Err, resp.Msg)
+		}
+		if resp.Op != req.Op {
+			return nil, fmt.Errorf("%w: response to op %d, sent op %d", repl.ErrBadFrame, resp.Op, req.Op)
 		}
 		return &resp, nil
 	case repl.MsgErr:
-		var we repl.WireErr
-		_ = repl.DecodeGob(payload, &we)
-		return nil, wireToErr(we.Code, we.Msg)
+		return nil, wireErrFrame(payload)
 	default:
 		return nil, fmt.Errorf("ankerdb: unexpected response frame type %d", typ)
 	}
@@ -228,11 +335,12 @@ func (s *RemoteSession) BeginTxn(class TxnClass) (SessionTxn, error) {
 // Stats fetches the served database's Stats snapshot — including the
 // replication staleness fields a client bounds reads with.
 func (s *RemoteSession) Stats() Stats {
+	var st Stats
 	resp, err := s.roundTrip(&wireReq{Op: opStats})
-	if err != nil || resp.Stats == nil {
+	if err != nil || repl.DecodeGob([]byte(resp.Stats), &st) != nil {
 		return Stats{}
 	}
-	return *resp.Stats
+	return st
 }
 
 // Close drops the connection. Server-side, open transactions of this
@@ -325,26 +433,19 @@ func (t *remoteTxn) SetString(tab, col string, row int, s string) error {
 	return err
 }
 
-// Insert flattens the value map for gob: per column a name, an int64
-// or string payload, and which of the two it is. Engine-side type
-// dispatch (Varchar wants string, everything else int64) is preserved.
+// Insert flattens the value map: per column a name and an int64 or
+// string payload. Engine-side type dispatch (Varchar wants string,
+// everything else int64) is preserved.
 func (t *remoteTxn) Insert(tab string, vals map[string]any) (int, error) {
 	req := &wireReq{Op: opInsert, Tab: tab}
 	for name, v := range vals {
-		req.Names = append(req.Names, name)
 		switch x := v.(type) {
 		case int64:
-			req.Vals = append(req.Vals, x)
-			req.Strs = append(req.Strs, "")
-			req.IsStr = append(req.IsStr, false)
+			req.Ins = append(req.Ins, insertVal{Name: name, Val: x})
 		case int:
-			req.Vals = append(req.Vals, int64(x))
-			req.Strs = append(req.Strs, "")
-			req.IsStr = append(req.IsStr, false)
+			req.Ins = append(req.Ins, insertVal{Name: name, Val: int64(x)})
 		case string:
-			req.Vals = append(req.Vals, 0)
-			req.Strs = append(req.Strs, x)
-			req.IsStr = append(req.IsStr, true)
+			req.Ins = append(req.Ins, insertVal{Name: name, IsStr: true, Str: x})
 		default:
 			return 0, fmt.Errorf("%w: unsupported insert value type %T for %q", ErrType, v, name)
 		}

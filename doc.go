@@ -33,7 +33,11 @@
 //     byte-identically to read replicas, plus a FIFO publisher that
 //     releases records in WAL-append order gated on the commit
 //     completion watermark, so subscribers never observe a torn or
-//     reordered stream
+//     reordered stream; control and session messages are fixed binary
+//     layouts, refused with a typed error when malformed
+//   - internal/binenc: the one byte-level encoding idiom — a
+//     little-endian append encoder and bounds-checked cursor decoder
+//     shared by WAL records and every wire message
 //   - internal/telemetry: lock-free observability primitives — atomic
 //     log2-bucketed latency histograms on every hot phase and an
 //     always-on flight-recorder ring of structured trace events
@@ -159,7 +163,10 @@
 // both sides. WithServeMaxSessions caps concurrent remote sessions
 // (the excess dial fails with ErrTooManySessions); WithNamespace
 // names the served database, and NewServer + Server.Register front
-// several databases behind one port.
+// several databases behind one port. Each session operation is one
+// small binary request/response pair (an OK is a 10-byte frame); the
+// server bounds inbound frames at 1 MiB and refuses peers that speak
+// another protocol version.
 //
 // WithReplicaOf(addr) opens the database as a read replica of a
 // serving primary: it bootstraps a checkpoint-style snapshot, then

@@ -49,9 +49,14 @@ type Record struct {
 // watermark, or re-bootstraps if the retained history no longer
 // reaches back that far.
 type Publisher struct {
-	mu      sync.Mutex
-	queue   []Record  // staged, awaiting watermark release
-	history []histRec // released records retained for reconnect resume
+	mu    sync.Mutex
+	queue []Record // staged, awaiting watermark release
+	// history retains released records for reconnect resume: a ring of
+	// up to histCap records whose oldest sits at head once it is full
+	// (head stays 0 while it still grows), so retaining a record is O(1)
+	// at any depth — Stage runs inside the WAL append hook.
+	history []histRec
+	head    int
 	histCap int
 	// histFloor is the highest eviction floor of any record evicted from
 	// history: a resume is possible only from AfterTS >= histFloor,
@@ -149,11 +154,12 @@ func (p *Publisher) Advance(ts uint64) {
 // watermark, capped below the oldest still-held commit — a held record
 // behind a head-of-line block must never be announced as applied.
 func (p *Publisher) drainLocked() {
-	for len(p.queue) > 0 && (p.queue[0].TS == 0 || p.queue[0].TS <= p.oracleW) {
-		rec := p.queue[0]
-		p.queue = p.queue[1:]
-		p.emitLocked(rec)
+	n := 0
+	for ; n < len(p.queue) && (p.queue[n].TS == 0 || p.queue[n].TS <= p.oracleW); n++ {
+		p.emitLocked(p.queue[n])
 	}
+	// Slide the remainder down: reusing the array keeps staging allocation-free.
+	p.queue = append(p.queue[:0], p.queue[n:]...)
 	pub := p.oracleW
 	for _, rec := range p.queue {
 		if rec.TS > 0 && rec.TS-1 < pub {
@@ -179,17 +185,18 @@ func (p *Publisher) emitLocked(rec Record) {
 		// floor's safety argument needs.
 		floor = p.watermark.Load() + 1
 	}
-	if len(p.history) >= p.histCap {
-		old := p.history[0]
-		// Shift rather than reslice so the backing array is reused and
-		// evicted payloads become collectable.
-		copy(p.history, p.history[1:])
-		p.history = p.history[:len(p.history)-1]
+	if len(p.history) < p.histCap {
+		p.history = append(p.history, histRec{rec: rec, floor: floor})
+	} else {
+		// Full: overwrite the oldest record (which also drops the last
+		// reference to its payload) and keep its resume floor.
+		old := &p.history[p.head]
 		if old.floor > p.histFloor {
 			p.histFloor = old.floor
 		}
+		*old = histRec{rec: rec, floor: floor}
+		p.head = (p.head + 1) % p.histCap
 	}
-	p.history = append(p.history, histRec{rec: rec, floor: floor})
 	for s := range p.subs {
 		select {
 		case s.ch <- rec:
@@ -258,7 +265,8 @@ func (p *Publisher) Resume(afterTS uint64, buf int) (*Subscriber, bool) {
 		return nil, false
 	}
 	var replay []Record
-	for _, h := range p.history {
+	for i := range p.history { // oldest first: the ring starts at head
+		h := &p.history[(p.head+i)%len(p.history)]
 		if h.rec.TS == 0 || h.rec.TS > afterTS {
 			replay = append(replay, h.rec)
 		}

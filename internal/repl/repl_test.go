@@ -1,9 +1,19 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/rand"
 	"net"
+	"reflect"
+	"runtime"
 	"testing"
+
+	"ankerdb/internal/binenc"
 )
 
 func pipeConns(t *testing.T) (*Conn, *Conn) {
@@ -26,7 +36,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			done <- err
 			return
 		}
-		if err := ca.WriteGob(MsgHeartbeat, Heartbeat{Watermark: 42}); err != nil {
+		if err := ca.WriteBody(MsgHeartbeat, &Heartbeat{Watermark: 42}); err != nil {
 			done <- err
 			return
 		}
@@ -45,7 +55,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("frame 3: type=%d err=%v", typ, err)
 	}
 	var hb Heartbeat
-	if err := DecodeGob(payload, &hb); err != nil || hb.Watermark != 42 {
+	if err := Decode(payload, &hb); err != nil || hb.Watermark != 42 {
 		t.Fatalf("heartbeat decode: %+v err=%v", hb, err)
 	}
 	if err := <-done; err != nil {
@@ -74,14 +84,14 @@ func TestFrameChecksumRejected(t *testing.T) {
 func TestHelloRoundTrip(t *testing.T) {
 	ca, cb := pipeConns(t)
 	go func() {
-		_ = ca.SendGob(MsgHello, Hello{Role: RoleReplica, Namespace: "tenant-a", AfterTS: 7})
+		_ = ca.SendBody(MsgHello, &Hello{Version: ProtoVersion, Role: RoleReplica, Namespace: "tenant-a", AfterTS: 7})
 	}()
 	typ, payload, err := cb.ReadMsg()
 	if err != nil || typ != MsgHello {
 		t.Fatalf("type=%d err=%v", typ, err)
 	}
 	var h Hello
-	if err := DecodeGob(payload, &h); err != nil {
+	if err := Decode(payload, &h); err != nil {
 		t.Fatal(err)
 	}
 	if h.Role != RoleReplica || h.Namespace != "tenant-a" || h.AfterTS != 7 {
@@ -329,7 +339,7 @@ func TestWireErrAndSendErr(t *testing.T) {
 		t.Fatalf("ReadMsg = %d, %v", typ, err)
 	}
 	var got WireErr
-	if err := DecodeGob(payload, &got); err != nil || got.Msg != "sent over the wire" {
+	if err := Decode(payload, &got); err != nil || got.Msg != "sent over the wire" {
 		t.Fatalf("decoded %+v, %v", got, err)
 	}
 }
@@ -346,5 +356,248 @@ func TestPublisherFrameCount(t *testing.T) {
 	}
 	if p.Drops() != 0 {
 		t.Fatalf("Drops() = %d, want 0", p.Drops())
+	}
+}
+
+func encodeMsg(m Message) []byte {
+	var e binenc.Encoder
+	m.Wire(binenc.Codec{E: &e})
+	return e.B
+}
+
+// controlFrames returns one fresh zero value of every control message.
+func controlFrames() []Message {
+	return []Message{&Hello{}, &Welcome{}, &SnapBegin{}, &SnapEnd{}, &Heartbeat{}, &Ack{}, &WireErr{}}
+}
+
+func TestControlFrameRoundTrip(t *testing.T) {
+	bad := "\xff\xfe\x00ns"
+	for i, want := range []Message{
+		&Hello{Version: ProtoVersion, Role: RoleReplica, Namespace: bad, AfterTS: math.MaxUint64},
+		&Hello{Version: ProtoVersion},
+		&Welcome{Snapshot: true, TS: math.MaxUint64},
+		&Welcome{},
+		&SnapBegin{TS: 9, Tables: math.MaxUint32},
+		&SnapEnd{TS: math.MaxUint64},
+		&Heartbeat{Watermark: math.MaxUint64},
+		&Ack{AppliedTS: 1},
+		&WireErr{Code: 255, Msg: bad},
+		&WireErr{},
+	} {
+		got := reflect.New(reflect.TypeOf(want).Elem()).Interface().(Message)
+		if err := Decode(encodeMsg(want), got); err != nil {
+			t.Fatalf("case %d (%T): %v", i, want, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: decoded %+v, want %+v", i, got, want)
+		}
+	}
+	// Short, long and wrong-version bodies are typed errors.
+	hb := encodeMsg(&Heartbeat{Watermark: 7})
+	for name, body := range map[string][]byte{
+		"truncated": hb[:len(hb)-1],
+		"trailing":  append(hb[:len(hb):len(hb)], 0),
+	} {
+		if err := Decode(body, &Heartbeat{}); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%s heartbeat: err = %v, want ErrBadFrame", name, err)
+		}
+	}
+	if err := Decode(encodeMsg(&Hello{Version: ProtoVersion + 1, Role: RoleSession}), &Hello{}); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("other-version hello: err = %v, want ErrBadFrame", err)
+	}
+}
+
+// FuzzControlFrames: arbitrary bytes against every control decoder —
+// no panic, only ErrBadFrame, and an accepted value survives a second
+// encode/decode cycle unchanged.
+func FuzzControlFrames(f *testing.F) {
+	for _, m := range []Message{
+		&Hello{Version: ProtoVersion, Role: RoleSession, Namespace: "default"},
+		&Welcome{Snapshot: true, TS: 3}, &SnapBegin{TS: 3, Tables: 2}, &Heartbeat{Watermark: 9},
+		&WireErr{Code: 2, Msg: "boom"},
+	} {
+		f.Add(encodeMsg(m))
+	}
+	f.Add([]byte{ProtoVersion, 0xff, 0xff, 0xff, 0xff}) // 4 GiB role string claimed
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, got := range controlFrames() {
+			if err := Decode(data, got); err != nil {
+				if !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("%T: untyped decode error: %v", got, err)
+				}
+				continue
+			}
+			again := controlFrames()[i]
+			if err := Decode(encodeMsg(got), again); err != nil || !reflect.DeepEqual(got, again) {
+				t.Fatalf("%T: re-decoded %+v (err %v), first decode %+v", got, again, err, got)
+			}
+		}
+	})
+}
+
+// frameHeader hand-builds a frame header claiming an n-byte body.
+func frameHeader(n uint32, body []byte) []byte {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:], n)
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
+	return hdr[:]
+}
+
+// TestReadMsgDoesNotTrustLength: a header claiming the maximum body,
+// followed by nine bytes and EOF, costs about one growth step — not the
+// gigabyte it asks for — and a length over the read limit is refused
+// outright.
+func TestReadMsgDoesNotTrustLength(t *testing.T) {
+	a, b := net.Pipe()
+	cb := NewConn(b)
+	t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
+	go func() {
+		_, _ = a.Write(frameHeader(maxFrameLen, nil))
+		_, _ = a.Write([]byte("nine byte"))
+		_ = a.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := cb.ReadMsg()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*readStep {
+		t.Fatalf("hostile length prefix cost %d bytes of allocation, want about %d", grew, readStep)
+	}
+
+	ca, cb := pipeConns(t)
+	cb.SetReadLimit(16)
+	go func() { _ = ca.Send(MsgRequest, make([]byte, 16)) }() // body = type byte + 16
+	if _, _, err := cb.ReadMsg(); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("over-limit frame: err = %v, want ErrBadFrame", err)
+	}
+}
+
+// TestReadMsgLargeFrame: an honest frame much larger than the growth
+// step arrives intact, and the buffer is reused for the next one.
+func TestReadMsgLargeFrame(t *testing.T) {
+	ca, cb := pipeConns(t)
+	big := make([]byte, 3*readStep+12345)
+	_, _ = rand.New(rand.NewSource(1)).Read(big) // never fails
+	go func() {
+		_ = ca.WriteMsg(MsgSnapTable, big)
+		_ = ca.WriteMsg(MsgCommit, big[:100])
+		_ = ca.Flush()
+	}()
+	typ, payload, err := cb.ReadMsg()
+	if err != nil || typ != MsgSnapTable || !bytes.Equal(payload, big) {
+		t.Fatalf("large frame: type %d, %d bytes, err %v", typ, len(payload), err)
+	}
+	typ, payload, err = cb.ReadMsg()
+	if err != nil || typ != MsgCommit || !bytes.Equal(payload, big[:100]) {
+		t.Fatalf("frame after large: type %d, %d bytes, err %v", typ, len(payload), err)
+	}
+}
+
+// shiftHistory is the publisher's previous history: a slice that evicts
+// by shifting every element down. O(n) per record, which is why it was
+// replaced — and the reference the ring must agree with.
+type shiftHistory struct {
+	recs  []histRec
+	floor uint64
+}
+
+func (h *shiftHistory) retain(r histRec, histCap int) {
+	if len(h.recs) >= histCap {
+		if old := h.recs[0]; old.floor > h.floor {
+			h.floor = old.floor
+		}
+		copy(h.recs, h.recs[1:])
+		h.recs = h.recs[:len(h.recs)-1]
+	}
+	h.recs = append(h.recs, r)
+}
+
+// TestPublisherRingMatchesShiftHistory drives one seeded trace of
+// commits and timestamp-less schema records through a small ring, many
+// times around, and checks after every record that the resume floor and
+// the age-ordered contents equal the shift implementation's, and that
+// Resume replays exactly the oracle's suffix, in stage order.
+func TestPublisherRingMatchesShiftHistory(t *testing.T) {
+	const histCap = 7
+	p := NewPublisher(histCap)
+	var oracle shiftHistory
+	rng := rand.New(rand.NewSource(42))
+	ts := uint64(0)
+	for step := 0; step < 20*histCap; step++ {
+		var h histRec
+		if rng.Intn(4) == 0 {
+			h = histRec{rec: Record{Type: MsgSchema, Payload: []byte(fmt.Sprint("ddl", step))}, floor: p.Watermark() + 1}
+			p.Stage(h.rec)
+		} else {
+			ts++
+			h = histRec{rec: Record{TS: ts, Type: MsgCommit, Payload: []byte(fmt.Sprint("c", ts))}, floor: ts}
+			p.Stage(h.rec)
+			p.Advance(ts)
+		}
+		oracle.retain(h, histCap)
+
+		if p.histFloor != oracle.floor {
+			t.Fatalf("step %d: histFloor = %d, shift implementation has %d", step, p.histFloor, oracle.floor)
+		}
+		var ring []histRec
+		for i := range p.history {
+			ring = append(ring, p.history[(p.head+i)%len(p.history)])
+		}
+		if !reflect.DeepEqual(ring, oracle.recs) {
+			t.Fatalf("step %d: ring in age order %+v, shift implementation %+v", step, ring, oracle.recs)
+		}
+
+		afterTS := oracle.floor + uint64(rng.Intn(3))
+		var want []Record
+		for _, o := range oracle.recs {
+			if o.rec.TS == 0 || o.rec.TS > afterTS {
+				want = append(want, o.rec)
+			}
+		}
+		if w := p.Watermark(); w > afterTS {
+			want = append(want, Record{Type: MsgHeartbeat, TS: w})
+		}
+		s, ok := p.Resume(afterTS, 64)
+		if !ok {
+			t.Fatalf("step %d: resume from %d refused at floor %d", step, afterTS, oracle.floor)
+		}
+		if got := collect(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: resume(%d) replayed %+v, want %+v", step, afterTS, got, want)
+		}
+		p.Detach(s)
+	}
+	if p.head == 0 && len(p.history) < histCap {
+		t.Fatal("trace never wrapped the ring")
+	}
+}
+
+// BenchmarkPublisherStage is Stage + Advance per record with the
+// history empty and with it full (the steady state of any long-lived
+// primary): the two must cost the same.
+func BenchmarkPublisherStage(b *testing.B) {
+	payload := make([]byte, 96)
+	for _, fill := range []struct {
+		name string
+		n    uint64
+	}{{"empty", 0}, {"full", defaultHistCap}} {
+		b.Run(fill.name, func(b *testing.B) {
+			p := NewPublisher(0)
+			defer p.Close()
+			ts := uint64(0)
+			for ; ts < fill.n; ts++ {
+				p.Stage(Record{TS: ts + 1, Type: MsgCommit, Payload: payload})
+				p.Advance(ts + 1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ts++
+				p.Stage(Record{TS: ts, Type: MsgCommit, Payload: payload})
+				p.Advance(ts)
+			}
+		})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"ankerdb/internal/binenc"
 )
 
 // RedoWrite is one durable write of a committed transaction: enough to
@@ -109,203 +111,130 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(append(dst, hdr[:]...), payload...)
 }
 
-// encoder builds little-endian record payloads.
-type encoder struct{ b []byte }
-
-func (e *encoder) u8(v uint8) { e.b = append(e.b, v) }
-func (e *encoder) u32(v uint32) {
-	e.b = binary.LittleEndian.AppendUint32(e.b, v)
-}
-func (e *encoder) u64(v uint64) {
-	e.b = binary.LittleEndian.AppendUint64(e.b, v)
-}
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-// decoder consumes little-endian record payloads, latching the first
-// bounds error instead of panicking on truncated input.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("wal: truncated record payload")
-	}
-}
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || len(d.b) < 4 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.u32()
-	if d.err != nil || uint64(len(d.b)) < uint64(n) {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
 // encode serialises the commit record payload (framing is the
 // caller's). Records with row ops take the kind-3 layout — timestamp,
 // ops, writes — so one frame carries the whole transaction and a torn
 // tail can never split a commit's ops from its writes.
 func (r CommitRecord) encode(dst []byte) []byte {
-	e := encoder{b: dst}
+	e := binenc.Encoder{B: dst}
 	if len(r.Ops) > 0 {
-		e.u8(recKindRowCommit)
-		e.u64(r.TS)
-		e.u32(uint32(len(r.Ops)))
+		e.U8(recKindRowCommit)
+		e.U64(r.TS)
+		e.U32(uint32(len(r.Ops)))
 		for _, op := range r.Ops {
-			e.u32(uint32(op.Table))
-			e.u32(uint32(op.Row))
-			if op.Del {
-				e.u8(1)
-			} else {
-				e.u8(0)
-			}
+			e.U32(uint32(op.Table))
+			e.U32(uint32(op.Row))
+			e.Bool(op.Del)
 		}
 	} else {
-		e.u8(recKindCommit)
-		e.u64(r.TS)
+		e.U8(recKindCommit)
+		e.U64(r.TS)
 	}
-	e.u32(uint32(len(r.Writes)))
+	e.U32(uint32(len(r.Writes)))
 	for _, w := range r.Writes {
-		e.u32(uint32(w.Table))
-		e.u32(uint32(w.Col))
-		e.u32(uint32(w.Row))
-		e.u64(uint64(w.Val))
+		e.U32(uint32(w.Table))
+		e.U32(uint32(w.Col))
+		e.U32(uint32(w.Row))
+		e.U64(uint64(w.Val))
 		if w.HasStr {
-			e.u8(1)
-			e.str(w.Str)
+			e.U8(1)
+			e.Str(w.Str)
 		} else {
-			e.u8(0)
+			e.U8(0)
 		}
 	}
-	return e.b
+	return e.B
 }
 
 func decodeCommit(payload []byte) (CommitRecord, error) {
-	d := decoder{b: payload}
-	kind := d.u8()
-	if d.err == nil && kind != recKindCommit && kind != recKindRowCommit {
+	d := binenc.Decoder{B: payload}
+	kind := d.U8()
+	if d.Err == nil && kind != recKindCommit && kind != recKindRowCommit {
 		return CommitRecord{}, fmt.Errorf("wal: record kind %d, want commit (%d or %d)", kind, recKindCommit, recKindRowCommit)
 	}
-	rec := CommitRecord{TS: d.u64()}
+	rec := CommitRecord{TS: d.U64()}
 	if kind == recKindRowCommit {
-		nops := d.u32()
-		if d.err == nil && uint64(nops) > uint64(len(payload)) {
+		nops := d.U32()
+		if d.Err == nil && uint64(nops) > uint64(len(payload)) {
 			return rec, fmt.Errorf("wal: commit record claims %d row ops in %d bytes", nops, len(payload))
 		}
 		for i := 0; i < int(nops); i++ {
-			op := RowOp{Table: int(d.u32()), Row: int(d.u32())}
-			op.Del = d.u8() != 0
+			op := RowOp{Table: int(d.U32()), Row: int(d.U32())}
+			op.Del = d.U8() != 0
 			rec.Ops = append(rec.Ops, op)
 		}
 	}
-	n := d.u32()
-	if d.err == nil && uint64(n) > uint64(len(payload)) {
+	n := d.U32()
+	if d.Err == nil && uint64(n) > uint64(len(payload)) {
 		// A write takes at least one payload byte; more writes than
 		// bytes is corruption, not a huge record.
 		return rec, fmt.Errorf("wal: commit record claims %d writes in %d bytes", n, len(payload))
 	}
 	for i := 0; i < int(n); i++ {
 		w := RedoWrite{
-			Table: int(d.u32()),
-			Col:   int(d.u32()),
-			Row:   int(d.u32()),
-			Val:   int64(d.u64()),
+			Table: int(d.U32()),
+			Col:   int(d.U32()),
+			Row:   int(d.U32()),
+			Val:   int64(d.U64()),
 		}
-		if d.u8() != 0 {
-			w.Str, w.HasStr = d.str(), true
+		if d.U8() != 0 {
+			w.Str, w.HasStr = d.Str(), true
 		}
 		rec.Writes = append(rec.Writes, w)
 	}
-	return rec, d.err
+	return rec, d.Err
 }
 
 // encode serialises the load record payload.
 func (r LoadRecord) encode(dst []byte) []byte {
-	e := encoder{b: dst}
-	e.u8(recKindLoad)
-	e.u32(uint32(r.Table))
-	e.u32(uint32(r.Col))
-	e.u32(uint32(r.Start))
+	e := binenc.Encoder{B: dst}
+	e.U8(recKindLoad)
+	e.U32(uint32(r.Table))
+	e.U32(uint32(r.Col))
+	e.U32(uint32(r.Start))
 	if r.HasStrs {
-		e.u8(1)
-		e.u32(uint32(len(r.Strs)))
+		e.U8(1)
+		e.U32(uint32(len(r.Strs)))
 		for _, s := range r.Strs {
-			e.str(s)
+			e.Str(s)
 		}
 	} else {
-		e.u8(0)
-		e.u32(uint32(len(r.Vals)))
+		e.U8(0)
+		e.U32(uint32(len(r.Vals)))
 		for _, v := range r.Vals {
-			e.u64(uint64(v))
+			e.U64(uint64(v))
 		}
 	}
-	return e.b
+	return e.B
 }
 
 func decodeLoad(payload []byte) (LoadRecord, error) {
-	d := decoder{b: payload}
-	if kind := d.u8(); d.err == nil && kind != recKindLoad {
+	d := binenc.Decoder{B: payload}
+	if kind := d.U8(); d.Err == nil && kind != recKindLoad {
 		return LoadRecord{}, fmt.Errorf("wal: record kind %d, want load (%d)", kind, recKindLoad)
 	}
 	rec := LoadRecord{
-		Table: int(d.u32()),
-		Col:   int(d.u32()),
-		Start: int(d.u32()),
+		Table: int(d.U32()),
+		Col:   int(d.U32()),
+		Start: int(d.U32()),
 	}
-	rec.HasStrs = d.u8() != 0
-	n := d.u32()
-	if d.err == nil && uint64(n) > uint64(len(payload)) {
+	rec.HasStrs = d.U8() != 0
+	n := d.U32()
+	if d.Err == nil && uint64(n) > uint64(len(payload)) {
 		// A value takes at least one payload byte; more values than
 		// bytes is corruption, not a huge chunk.
 		return rec, fmt.Errorf("wal: load record claims %d values in %d bytes", n, len(payload))
 	}
 	if rec.HasStrs {
 		for i := 0; i < int(n); i++ {
-			rec.Strs = append(rec.Strs, d.str())
+			rec.Strs = append(rec.Strs, d.Str())
 		}
 	} else {
 		for i := 0; i < int(n); i++ {
-			rec.Vals = append(rec.Vals, int64(d.u64()))
+			rec.Vals = append(rec.Vals, int64(d.U64()))
 		}
 	}
-	return rec, d.err
+	return rec, d.Err
 }
 
 // encode serialises the table record payload. The per-column index
@@ -313,37 +242,37 @@ func decodeLoad(payload []byte) (LoadRecord, error) {
 // decodable: a decoder that runs out of payload after the columns
 // simply leaves every Index at 0.
 func (r TableRecord) encode(dst []byte) []byte {
-	e := encoder{b: dst}
-	e.str(r.Name)
-	e.u64(uint64(r.Rows))
-	e.u32(uint32(len(r.Columns)))
+	e := binenc.Encoder{B: dst}
+	e.Str(r.Name)
+	e.U64(uint64(r.Rows))
+	e.U32(uint32(len(r.Columns)))
 	for _, c := range r.Columns {
-		e.str(c.Name)
-		e.u8(c.Type)
+		e.Str(c.Name)
+		e.U8(c.Type)
 	}
 	for _, c := range r.Columns {
-		e.u8(c.Index)
+		e.U8(c.Index)
 	}
-	return e.b
+	return e.B
 }
 
 func decodeTable(payload []byte) (TableRecord, error) {
-	d := decoder{b: payload}
-	rec := TableRecord{Name: d.str(), Rows: int(d.u64())}
-	n := d.u32()
-	if d.err == nil && uint64(n) > uint64(len(payload)) {
+	d := binenc.Decoder{B: payload}
+	rec := TableRecord{Name: d.Str(), Rows: int(d.U64())}
+	n := d.U32()
+	if d.Err == nil && uint64(n) > uint64(len(payload)) {
 		return rec, fmt.Errorf("wal: table record claims %d columns in %d bytes", n, len(payload))
 	}
 	for i := 0; i < int(n); i++ {
-		rec.Columns = append(rec.Columns, ColumnDef{Name: d.str(), Type: d.u8()})
+		rec.Columns = append(rec.Columns, ColumnDef{Name: d.Str(), Type: d.U8()})
 	}
-	if d.err == nil && len(d.b) >= len(rec.Columns) {
+	if d.Err == nil && len(d.B) >= len(rec.Columns) {
 		// Trailing index-kind extension (absent in pre-index logs).
 		for i := range rec.Columns {
-			rec.Columns[i].Index = d.u8()
+			rec.Columns[i].Index = d.U8()
 		}
 	}
-	return rec, d.err
+	return rec, d.Err
 }
 
 // indexDDLMarker distinguishes index-DDL records from table records in
@@ -366,29 +295,25 @@ type IndexDDLRecord struct {
 }
 
 func (r IndexDDLRecord) encode(dst []byte) []byte {
-	e := encoder{b: dst}
-	e.u32(indexDDLMarker)
-	if r.Drop {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	e.str(r.Table)
-	e.str(r.Column)
-	e.u8(r.Kind)
-	return e.b
+	e := binenc.Encoder{B: dst}
+	e.U32(indexDDLMarker)
+	e.Bool(r.Drop)
+	e.Str(r.Table)
+	e.Str(r.Column)
+	e.U8(r.Kind)
+	return e.B
 }
 
 func decodeIndexDDL(payload []byte) (IndexDDLRecord, error) {
-	d := decoder{b: payload}
-	if m := d.u32(); d.err == nil && m != indexDDLMarker {
+	d := binenc.Decoder{B: payload}
+	if m := d.U32(); d.Err == nil && m != indexDDLMarker {
 		return IndexDDLRecord{}, fmt.Errorf("wal: index-DDL marker %#x, want %#x", m, indexDDLMarker)
 	}
-	rec := IndexDDLRecord{Drop: d.u8() != 0}
-	rec.Table = d.str()
-	rec.Column = d.str()
-	rec.Kind = d.u8()
-	return rec, d.err
+	rec := IndexDDLRecord{Drop: d.U8() != 0}
+	rec.Table = d.Str()
+	rec.Column = d.Str()
+	rec.Kind = d.U8()
+	return rec, d.Err
 }
 
 // isIndexDDL reports whether a schema-log payload is an index-DDL
@@ -427,26 +352,26 @@ type TableDDLRecord struct {
 }
 
 func (r TableDDLRecord) encode(dst []byte) []byte {
-	e := encoder{b: dst}
-	e.u32(tableDDLMarker)
-	e.u8(r.Op)
-	e.str(r.Name)
-	e.u64(r.TS)
-	return e.b
+	e := binenc.Encoder{B: dst}
+	e.U32(tableDDLMarker)
+	e.U8(r.Op)
+	e.Str(r.Name)
+	e.U64(r.TS)
+	return e.B
 }
 
 func decodeTableDDL(payload []byte) (TableDDLRecord, error) {
-	d := decoder{b: payload}
-	if m := d.u32(); d.err == nil && m != tableDDLMarker {
+	d := binenc.Decoder{B: payload}
+	if m := d.U32(); d.Err == nil && m != tableDDLMarker {
 		return TableDDLRecord{}, fmt.Errorf("wal: table-DDL marker %#x, want %#x", m, tableDDLMarker)
 	}
-	rec := TableDDLRecord{Op: d.u8()}
-	rec.Name = d.str()
-	rec.TS = d.u64()
-	if d.err == nil && rec.Op != TableDDLDrop && rec.Op != TableDDLTruncate {
+	rec := TableDDLRecord{Op: d.U8()}
+	rec.Name = d.Str()
+	rec.TS = d.U64()
+	if d.Err == nil && rec.Op != TableDDLDrop && rec.Op != TableDDLTruncate {
 		return rec, fmt.Errorf("wal: unknown table-DDL op %d", rec.Op)
 	}
-	return rec, d.err
+	return rec, d.Err
 }
 
 // isTableDDL reports whether a schema-log payload is a table-DDL

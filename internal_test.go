@@ -232,3 +232,49 @@ func TestRecoverySkipsUnknownAddressRecords(t *testing.T) {
 		}
 	}
 }
+
+// TestGCFloorAdvancesWithoutOLAP: a checkpoint pins a snapshot
+// generation and hands it back to the manager; on a database that never
+// begins an OLAP transaction again that pin must not hold the GC floor
+// at the checkpoint timestamp, or version chains and recent-commit
+// records grow with every commit.
+func TestGCFloorAdvancesWithoutOLAP(t *testing.T) {
+	db, err := Open(
+		WithCostModel(ZeroCost),
+		WithCommitShards(1),
+		WithDurability(t.TempDir()),
+		WithSyncPolicy(SyncNone),
+		WithInitialSchema(internalSchema(1), 64),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*vacuumEvery; i++ {
+		w, err := db.Begin(OLTP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Set("t", "v0", i%64, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The in-commit vacuum ran three times, the last at most vacuumEvery
+	// commits ago: only what has committed since may remain.
+	if n := db.Stats().VersionNodes; n > vacuumEvery {
+		t.Fatalf("VersionNodes = %d after %d OLAP-free commits, want <= %d", n, 3*vacuumEvery, vacuumEvery)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for db.Stats().RecentCommitRecords > 2*recentPruneEvery {
+		if time.Now().After(deadline) {
+			t.Fatalf("RecentCommitRecords = %d, want <= %d", db.Stats().RecentCommitRecords, 2*recentPruneEvery)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

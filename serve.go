@@ -1,6 +1,7 @@
 package ankerdb
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -33,6 +34,11 @@ type Server struct {
 
 // defaultMaxSessions is the WithServeMaxSessions default admission cap.
 const defaultMaxSessions = 256
+
+// maxRequestFrame bounds every frame a server reads — hellos, session
+// requests, replica acks are all small — so a hostile client cannot
+// make the server buffer a huge body; a longer frame gets a MsgErr.
+const maxRequestFrame = 1 << 20
 
 // heartbeatEvery is how often a quiescent replica feed ships the
 // completion watermark (and solicits an applied-TS ack back).
@@ -150,14 +156,15 @@ func (s *Server) acceptLoop() {
 // handle runs one connection: hello, namespace resolution, role
 // dispatch.
 func (s *Server) handle(c *repl.Conn) {
+	c.SetReadLimit(maxRequestFrame)
 	typ, payload, err := c.ReadMsg()
 	if err != nil || typ != repl.MsgHello {
 		c.SendErr("ankerdb: expected hello")
 		return
 	}
 	var hello repl.Hello
-	if err := repl.DecodeGob(payload, &hello); err != nil {
-		c.SendErr("ankerdb: bad hello")
+	if err := repl.Decode(payload, &hello); err != nil {
+		c.SendErr(fmt.Sprintf("ankerdb: bad hello: %v", err))
 		return
 	}
 	ns := hello.Namespace
@@ -205,7 +212,7 @@ func (s *Server) serveReplica(c *repl.Conn, db *DB, hello repl.Hello) {
 		sub = db.pub.Attach(replicaSendBuf)
 	}
 	defer db.pub.Detach(sub)
-	if err := c.SendGob(repl.MsgWelcome, repl.Welcome{Snapshot: snapshot, TS: db.oracle.Completed()}); err != nil {
+	if err := c.SendBody(repl.MsgWelcome, &repl.Welcome{Snapshot: snapshot, TS: db.oracle.Completed()}); err != nil {
 		return
 	}
 	if snapshot {
@@ -234,7 +241,7 @@ func (s *Server) serveReplica(c *repl.Conn, db *DB, hello repl.Hello) {
 				continue
 			}
 			var ack repl.Ack
-			if err := repl.DecodeGob(payload, &ack); err != nil {
+			if err := repl.Decode(payload, &ack); err != nil {
 				return
 			}
 			db.noteAck(peer, ack.AppliedTS)
@@ -279,7 +286,7 @@ func (s *Server) serveReplica(c *repl.Conn, db *DB, hello repl.Hello) {
 			if !s.drainSub(c, sub) {
 				return
 			}
-			if err := c.WriteGob(repl.MsgHeartbeat, repl.Heartbeat{Watermark: w}); err != nil {
+			if err := c.WriteBody(repl.MsgHeartbeat, &repl.Heartbeat{Watermark: w}); err != nil {
 				return
 			}
 			if err := c.Flush(); err != nil {
@@ -317,7 +324,7 @@ func (s *Server) drainSub(c *repl.Conn, sub *repl.Subscriber) bool {
 // Advance) become heartbeat frames.
 func (s *Server) writeRecord(c *repl.Conn, rec repl.Record) error {
 	if rec.Type == repl.MsgHeartbeat {
-		return c.WriteGob(repl.MsgHeartbeat, repl.Heartbeat{Watermark: rec.TS})
+		return c.WriteBody(repl.MsgHeartbeat, &repl.Heartbeat{Watermark: rec.TS})
 	}
 	return c.WriteMsg(rec.Type, rec.Payload)
 }
@@ -329,11 +336,11 @@ func (s *Server) writeRecord(c *repl.Conn, rec repl.Record) error {
 func (s *Server) serveSession(c *repl.Conn, db *DB) {
 	if n := s.sessions.Add(1); n > int64(s.maxSessions) {
 		s.sessions.Add(-1)
-		_ = c.SendGob(repl.MsgErr, repl.WireErr{Msg: ErrTooManySessions.Error(), Code: errToWire(ErrTooManySessions)})
+		_ = c.SendBody(repl.MsgErr, &repl.WireErr{Msg: ErrTooManySessions.Error(), Code: errToWire(ErrTooManySessions)})
 		return
 	}
 	defer s.sessions.Add(-1)
-	if err := c.SendGob(repl.MsgWelcome, repl.Welcome{TS: db.oracle.Completed()}); err != nil {
+	if err := c.SendBody(repl.MsgWelcome, &repl.Welcome{TS: db.oracle.Completed()}); err != nil {
 		return
 	}
 	txns := map[uint64]*Txn{}
@@ -343,128 +350,99 @@ func (s *Server) serveSession(c *repl.Conn, db *DB) {
 		}
 	}()
 	var nextTxn uint64
+	var req wireReq   // one request and one response, reused for the
+	var resp wireResp // whole session (they escape into the codec)
 	for {
 		typ, payload, err := c.ReadMsg()
 		if err != nil {
+			if errors.Is(err, repl.ErrBadFrame) {
+				c.SendErr("ankerdb: " + err.Error())
+			}
 			return
 		}
 		if typ != repl.MsgRequest {
 			c.SendErr(fmt.Sprintf("ankerdb: unexpected frame type %d in session", typ))
 			return
 		}
-		var req wireReq
-		if err := repl.DecodeGob(payload, &req); err != nil {
-			c.SendErr("ankerdb: bad request")
+		req = wireReq{}
+		if err := repl.Decode(payload, &req); err != nil {
+			c.SendErr("ankerdb: bad request: " + err.Error())
 			return
 		}
-		resp := serveReq(db, txns, &nextTxn, &req)
-		if err := c.SendGob(repl.MsgResponse, resp); err != nil {
+		resp, err = serveReq(db, txns, &nextTxn, &req)
+		resp.Op = req.Op
+		if err != nil {
+			resp = wireResp{Op: opErr, Err: errToWire(err), Msg: err.Error()}
+		}
+		if err := c.SendBody(repl.MsgResponse, &resp); err != nil {
 			return
 		}
 	}
 }
 
-// serveReq executes one session request against the engine.
-func serveReq(db *DB, txns map[uint64]*Txn, nextTxn *uint64, req *wireReq) wireResp {
-	fail := func(err error) wireResp {
-		return wireResp{Err: errToWire(err), Msg: err.Error()}
-	}
-	if req.Op == opBegin {
+// serveReq executes one session request against the engine, returning
+// the op's result fields or the engine's error.
+func serveReq(db *DB, txns map[uint64]*Txn, nextTxn *uint64, req *wireReq) (wireResp, error) {
+	switch req.Op {
+	case opBegin:
 		t, err := db.Begin(req.Class)
 		if err != nil {
-			return fail(err)
+			return wireResp{}, err
 		}
 		*nextTxn++
 		txns[*nextTxn] = t
-		return wireResp{Txn: *nextTxn, TS: t.SnapshotTS()}
-	}
-	if req.Op == opStats {
-		st := db.Stats()
-		return wireResp{Stats: &st}
+		return wireResp{Txn: *nextTxn, TS: t.SnapshotTS()}, nil
+	case opStats:
+		blob, err := repl.EncodeGob(db.Stats())
+		return wireResp{Stats: string(blob)}, err
 	}
 	t := txns[req.Txn]
 	if t == nil {
-		return fail(ErrTxnDone)
+		return wireResp{}, ErrTxnDone
 	}
 	switch req.Op {
 	case opCommit:
 		delete(txns, req.Txn)
-		if err := t.Commit(); err != nil {
-			return fail(err)
-		}
-		return wireResp{}
+		return wireResp{}, t.Commit()
 	case opAbort:
 		delete(txns, req.Txn)
-		if err := t.Abort(); err != nil {
-			return fail(err)
-		}
-		return wireResp{}
+		return wireResp{}, t.Abort()
 	case opGet:
 		v, err := t.Get(req.Tab, req.Col, req.Row)
-		if err != nil {
-			return fail(err)
-		}
-		return wireResp{Val: v}
+		return wireResp{Val: v}, err
 	case opGetString:
 		s, err := t.GetString(req.Tab, req.Col, req.Row)
-		if err != nil {
-			return fail(err)
-		}
-		return wireResp{Str: s}
+		return wireResp{Str: s}, err
 	case opScan:
 		vals, err := t.Scan(req.Tab, req.Col)
-		if err != nil {
-			return fail(err)
-		}
-		return wireResp{Vals: vals}
+		return wireResp{Vals: vals}, err
 	case opLookup:
 		rows, err := t.Lookup(req.Tab, req.Col, req.Val)
-		if err != nil {
-			return fail(err)
-		}
-		return wireResp{Rows: rows}
+		return wireResp{Rows: rows}, err
 	case opFilter:
 		rows, err := t.Filter(req.Tab, req.Col, req.Lo, req.Hi)
-		if err != nil {
-			return fail(err)
-		}
-		return wireResp{Rows: rows}
+		return wireResp{Rows: rows}, err
 	case opAggregate:
 		v, err := t.Aggregate(req.Tab, req.Col, req.Agg)
-		if err != nil {
-			return fail(err)
-		}
-		return wireResp{Val: v}
+		return wireResp{Val: v}, err
 	case opSet:
-		if err := t.Set(req.Tab, req.Col, req.Row, req.Val); err != nil {
-			return fail(err)
-		}
-		return wireResp{}
+		return wireResp{}, t.Set(req.Tab, req.Col, req.Row, req.Val)
 	case opSetString:
-		if err := t.SetString(req.Tab, req.Col, req.Row, req.Str); err != nil {
-			return fail(err)
-		}
-		return wireResp{}
+		return wireResp{}, t.SetString(req.Tab, req.Col, req.Row, req.Str)
 	case opInsert:
-		vals := make(map[string]any, len(req.Names))
-		for i, name := range req.Names {
-			if req.IsStr[i] {
-				vals[name] = req.Strs[i]
+		vals := make(map[string]any, len(req.Ins))
+		for _, v := range req.Ins {
+			if v.IsStr {
+				vals[v.Name] = v.Str
 			} else {
-				vals[name] = req.Vals[i]
+				vals[v.Name] = v.Val
 			}
 		}
 		row, err := t.Insert(req.Tab, vals)
-		if err != nil {
-			return fail(err)
-		}
-		return wireResp{Row: row}
+		return wireResp{Row: row}, err
 	case opDelete:
-		if err := t.Delete(req.Tab, req.Row); err != nil {
-			return fail(err)
-		}
-		return wireResp{}
+		return wireResp{}, t.Delete(req.Tab, req.Row)
 	default:
-		return fail(fmt.Errorf("ankerdb: unknown session op %d", req.Op))
+		return wireResp{}, fmt.Errorf("ankerdb: unknown session op %d", req.Op)
 	}
 }

@@ -213,14 +213,30 @@ func (g *generation) destroy() {
 // minTS returns the oldest timestamp any live generation reads at, or
 // ifEmpty when none has a timestamp yet — the snapshot side of the
 // version-chain GC floor.
+//
+// A current generation that only the manager still pins and that the
+// refresh policy has already condemned is retired here rather than
+// counted: the next acquire would discard it unread anyway, and on a
+// database no OLAP transaction ever begins on again (OLTP-only after a
+// checkpoint or a replica bootstrap) there is no next acquire — the
+// stale pin would hold the floor, and with it every version chain and
+// recent-commit record, forever.
 func (m *snapManager) minTS(ifEmpty uint64) uint64 {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	cur := m.current
+	retire := cur != nil && cur.refs == 1 && m.shouldRotate(cur)
+	if retire {
+		m.unpinLocked(cur)
+	}
 	minTS := ifEmpty
 	for g := range m.live {
 		if g.tsOK && g.ts < minTS {
 			minTS = g.ts
 		}
+	}
+	m.mu.Unlock()
+	if retire {
+		cur.destroy()
 	}
 	return minTS
 }
