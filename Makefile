@@ -10,7 +10,7 @@ GO ?= go
 # throughput as commits_per_sec, so one gate metric covers every bench.
 BENCH_GATE_ARGS := -quick -bench commit,grow,query,index -format json
 
-.PHONY: build test test-race bench bench-check bench-baseline bench-gate cover cover-baseline metrics-smoke fault-sweep repl-smoke
+.PHONY: build test test-race bench bench-check bench-baseline bench-gate cover cover-baseline metrics-smoke fault-sweep repl-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,16 @@ fault-sweep:
 	FAULT_SWEEP_SEEDS=$(FAULT_SWEEP_SEEDS) $(GO) test -run \
 	  'TestCrashRecoveryMatrix|TestFsyncLieRecoveryMatrix|TestSeededScheduleReproducible|TestCrashMid' \
 	  -v -timeout 30m .
+
+# fuzz-smoke runs every fuzz target for 5 s each (go test takes
+# one -fuzz target per invocation): the session request/response codecs,
+# the checkpoint/bootstrap table-section decoder, and the replication
+# control frames. A failing input lands in testdata/fuzz/ — commit it.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzWireReq$$' -fuzztime 5s .
+	$(GO) test -run '^$$' -fuzz '^FuzzWireResp$$' -fuzztime 5s .
+	$(GO) test -run '^$$' -fuzz '^FuzzTableSection$$' -fuzztime 5s .
+	$(GO) test -run '^$$' -fuzz '^FuzzControlFrames$$' -fuzztime 5s ./internal/repl
 
 # repl-smoke runs the replication end-to-end smoke: a durable serving
 # primary plus two WAL-streaming read replicas on loopback ports, a

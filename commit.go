@@ -392,115 +392,40 @@ func (db *DB) commitCrossShard(ids []int, t *mvcc.TxnState, epochs []tableEpoch)
 }
 
 // install materialises t's staged writes and row ops at commit
-// timestamp ts and returns the commit record. The caller holds the
-// commit locks of every shard the writes and row ops are routed to
-// (including each mutated table's visibility pseudo-column shard). The
-// write timestamp is stored strictly before the data word, the
-// ordering the lock-free read protocol and snapshot repair depend on.
-//
-// Writes into rows the transaction itself inserts skip the version
-// chain push: the displaced word is garbage from the slot's previous
-// (reclaimed, below the GC floor) or never-born incarnation, which no
-// reader can reach — every reader old enough to want it already sees
-// the row as dead or unborn through the visibility arrays. Row ops run
-// after all writes, death reset before birth, birth last: a concurrent
-// lock-free reader that observes the birth timestamp therefore
-// observes the fully materialised row, and one that doesn't skips the
-// row entirely.
+// timestamp ts through the shared install kernels (apply.go:
+// installCell, installRowOp — which own the ordering rules) and returns
+// the commit record. The caller holds the commit locks of every shard
+// the writes and row ops are routed to (including each mutated table's
+// visibility pseudo-column shard).
 func (db *DB) install(t *mvcc.TxnState, ts uint64) mvcc.CommitRecord {
 	writes := make([]mvcc.WriteEntry, 0, t.NumWrites())
 	t.EachWrite(func(id mvcc.ColumnID, row int, val int64) {
-		c := db.columnByID(id)
-		if t.RowInserted(id.Table, row) {
-			c.wts.SetU(row, ts)
-			c.data.Set(row, val)
-			c.widen(row, val)
-			// Index maintenance rides the same critical section as the
-			// write install: an inserted row births one entry per indexed
-			// column (Insert stages a write on every column).
-			if ix := c.idx.Load(); ix != nil {
-				ix.Add(val, row, ts)
-			}
-			writes = append(writes, mvcc.WriteEntry{Col: id, Row: row, Old: val, New: val})
-			return
-		}
-		old := c.data.Get(row)
-		oldWTS := c.wts.GetU(row)
-		c.chain.Push(row, old, oldWTS)
-		c.noteVersioned(row)
-		c.wts.SetU(row, ts)
-		c.data.Set(row, val)
-		c.widen(row, val)
-		// A value change death-stamps the displaced association and
-		// births the new one at the same timestamp, mirroring the version
-		// chain push; a same-value overwrite leaves the live entry alone.
-		if ix := c.idx.Load(); ix != nil && old != val {
-			ix.Kill(old, row, ts)
-			ix.Add(val, row, ts)
-		}
+		// Index maintenance rides the same critical section as the write
+		// install: an inserted row births one entry per indexed column
+		// (Insert stages a write on every column).
+		old := db.columnByID(id).installCell(row, val, ts, t.RowInserted(id.Table, row))
 		writes = append(writes, mvcc.WriteEntry{Col: id, Row: row, Old: old, New: val})
 	})
 	rec := mvcc.CommitRecord{TS: ts, Writes: writes}
-	// Per-table insert-minus-delete deltas, appended to the visibility
-	// logs below. A transaction touches very few tables, so a slice with
-	// linear search beats a map.
-	var visDeltas []struct {
-		t *table
-		d int64
-	}
+	var deltas tableDeltas
 	t.EachRowOp(func(op mvcc.RowOp) {
 		tab := db.tableByIdx(op.Table)
-		tab.visMutated.Store(true)
 		if op.Del {
 			// Shadow every column of the dying row with its last value:
 			// a concurrent reader whose predicate or point read covered
-			// the row read state this deletion invalidates. Indexed
-			// columns also death-stamp the row's live entry here, at the
-			// same timestamp the visibility array records.
+			// the row read state this deletion invalidates.
 			for _, c := range tab.cols {
 				old := c.data.Get(op.Row)
-				if ix := c.idx.Load(); ix != nil {
-					ix.Kill(old, op.Row, ts)
-				}
 				rec.VisWrites = append(rec.VisWrites,
 					mvcc.WriteEntry{Col: c.id, Row: op.Row, Old: old, New: old})
 			}
-			tab.st.Death().SetU(op.Row, ts)
-			db.st.rowDeletes.Add(1)
-		} else {
-			tab.st.Death().SetU(op.Row, 0)
-			tab.st.Birth().SetU(op.Row, ts)
-			db.st.rowInserts.Add(1)
 		}
+		db.installRowOp(tab, op.Row, op.Del, ts, &deltas)
 		rec.VisWrites = append(rec.VisWrites,
 			mvcc.WriteEntry{Col: mvcc.VisColumnID(op.Table), Row: op.Row})
 		rec.Ops = append(rec.Ops, op)
-		d := int64(1)
-		if op.Del {
-			d = -1
-		}
-		for i := range visDeltas {
-			if visDeltas[i].t == tab {
-				visDeltas[i].d += d
-				d = 0
-				break
-			}
-		}
-		if d != 0 {
-			visDeltas = append(visDeltas, struct {
-				t *table
-				d int64
-			}{tab, d})
-		}
 	})
-	// One visibility-log entry per mutated table, under that table's
-	// visibility shard lock (held by the caller) and before the commit
-	// timestamp completes — so any reader that can see ts sees it.
-	for _, e := range visDeltas {
-		if e.d != 0 { // insert+delete in one txn nets out
-			e.t.visLogAppend(ts, e.d)
-		}
-	}
+	deltas.flush(ts)
 	return rec
 }
 
@@ -536,13 +461,7 @@ func (db *DB) maintainShards(shards []*commitShard, added uint64) {
 // concurrent reader still needs).
 func (db *DB) vacuumShardChains(s *commitShard, floor uint64) int64 {
 	var removed int64
-	db.mu.RLock()
-	tabs := append([]*table(nil), db.tabList...)
-	db.mu.RUnlock()
-	for _, t := range tabs {
-		if t.dropped.Load() {
-			continue
-		}
+	for _, t := range db.liveTables() {
 		for _, c := range t.cols {
 			if db.shards[db.shardOf(c.id)] != s {
 				continue

@@ -43,11 +43,18 @@ type DB struct {
 	// in-place re-bootstrap. Every pin (OLAP Begin, Checkpoint, serving
 	// a bootstrap snapshot) holds the read side for the pin's lifetime;
 	// the re-bootstrap holds the write side, draining pinned readers
-	// and blocking new pins while applySnapTable fast-forwards the
-	// arrays (no version-chain pushes) and finishBootstrap resets the
+	// and blocking new pins while readTableSection fast-forwards the
+	// arrays (no version-chain pushes) and rebuildDerived resets the
 	// visibility logs — either of which breaks a generation pinned
 	// across it. Uncontended outside replica reconnects.
 	olapGate sync.RWMutex
+	// halfBootstrapped is set from the moment a replica bootstrap starts
+	// overwriting arrays until one completes. A bootstrap that dies in
+	// between (the stream cut or stalled mid-section) leaves rows torn —
+	// snapshot data words under old stamps and visibility — so while it
+	// is set with the gate free, pinGate refuses every pin and Promote
+	// refuses to make the state writable.
+	halfBootstrapped atomic.Bool
 
 	// shards partition commit processing by column (see commit.go): the
 	// paper's partially sequential commit phase (Section 5.7) becomes
@@ -189,11 +196,12 @@ type table struct {
 	dropTS   uint64
 	freed    bool
 
-	// truncated is set by recovery when it replays a truncate marker:
-	// the killed rows (birth back to NeverTS) are indistinguishable
-	// from never-born ones, so rebuildRowState must be told not to
-	// infer the unmutated initial-rows fast path — which would
-	// resurrect exactly the rows the truncation discarded.
+	// truncated is set by truncateAt — live, streamed or replayed: the
+	// killed rows (birth back to NeverTS) are indistinguishable from
+	// never-born ones, so rebuildAllocator must be told not to infer
+	// the unmutated initial-rows fast path — which would resurrect
+	// exactly the rows the truncation discarded — nor to start the
+	// high-water mark above them.
 	truncated bool
 }
 
@@ -419,13 +427,7 @@ func (c *column) recomputeZones(floor uint64) {
 // method). Vacuum calls it under all shard locks; recovery calls it
 // single-threaded before the DB is shared.
 func (db *DB) recomputeZones(floor uint64) {
-	db.mu.RLock()
-	tabs := append([]*table(nil), db.tabList...)
-	db.mu.RUnlock()
-	for _, t := range tabs {
-		if t.dropped.Load() {
-			continue
-		}
+	for _, t := range db.liveTables() {
 		for _, c := range t.cols {
 			c.recomputeZones(floor)
 		}
@@ -673,10 +675,12 @@ func (db *DB) Begin(class TxnClass) (*Txn, error) {
 	id := db.txnIDs.Add(1)
 	switch class {
 	case OLAP:
-		db.st.olapBegun.Add(1)
 		// Read side of the re-bootstrap gate, held until the pin drops
 		// (Commit/Abort). Blocks only while a replica re-bootstraps.
-		db.olapGate.RLock()
+		if err := db.pinGate(); err != nil {
+			return nil, err
+		}
+		db.st.olapBegun.Add(1)
 		gen := db.snaps.acquire()
 		db.tel.rec.Record(telemetry.EvTxnBegin, int64(id), 1, int64(gen.ts))
 		return &Txn{db: db, id: id, class: OLAP, gen: gen}, nil
@@ -705,6 +709,17 @@ func (db *DB) Begin(class TxnClass) (*Txn, error) {
 		// instead. OLAP begins (snapshot pins) are recorded above.
 		return &Txn{db: db, id: id, class: OLTP, state: mvcc.NewTxnState(id, begin, mvcc.OLTP)}, nil
 	}
+}
+
+// pinGate takes the read side of olapGate for a snapshot-generation pin;
+// the caller releases it when the pin drops.
+func (db *DB) pinGate() error {
+	db.olapGate.RLock()
+	if db.halfBootstrapped.Load() {
+		db.olapGate.RUnlock()
+		return errHalfBootstrapped
+	}
+	return nil
 }
 
 // lookup resolves a (table, column) name pair.
@@ -906,11 +921,8 @@ func (db *DB) Vacuum() int64 {
 // (birth=NeverTS, death!=0) pair persisted by a later checkpoint to
 // rebuild the free list.
 func (db *DB) reclaimRows(floor uint64) {
-	db.mu.RLock()
-	tabs := append([]*table(nil), db.tabList...)
-	db.mu.RUnlock()
-	for _, t := range tabs {
-		if t.dropped.Load() || !t.visMutated.Load() {
+	for _, t := range db.liveTables() {
+		if !t.visMutated.Load() {
 			continue
 		}
 		birth, death := t.st.Birth(), t.st.Death()

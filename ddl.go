@@ -3,10 +3,8 @@ package ankerdb
 import (
 	"fmt"
 
-	"ankerdb/internal/index"
 	"ankerdb/internal/mvcc"
 	"ankerdb/internal/storage"
-	"ankerdb/internal/telemetry"
 	"ankerdb/internal/wal"
 )
 
@@ -52,31 +50,22 @@ func (db *DB) DropTable(name string) error {
 		return fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}
 	db.lockAllShards()
+	defer db.unlockAllShards()
 	// Under every shard lock the completed watermark equals the newest
 	// assigned timestamp: every commit at or below ts is fully
 	// installed, every later one runs after the epoch bump and aborts.
 	ts := db.oracle.Completed()
-	t.ddlEpoch.Add(1)
-	t.dropTS = ts
-	t.dropped.Store(true)
+	db.dropAt(t, ts)
 	// The name is released and the drop logged under db.mu — the same
 	// lock CreateTable publishes and logs under — so the schema log
 	// always orders this record before a racing re-creation's.
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	delete(db.tables, name)
-	var walErr error
-	if db.wal != nil && !db.recovering {
-		walErr = db.wal.AppendTableDDL(wal.TableDDLRecord{Name: name, Op: wal.TableDDLDrop, TS: ts})
+	if db.wal == nil {
+		return nil
 	}
-	db.mu.Unlock()
-	if db.gcFloor() > ts {
-		// No running transaction or pinned generation can reach the
-		// table: release its chunks now instead of at the next Vacuum.
-		db.freeDropped(t)
-	}
-	db.unlockAllShards()
-	db.tel.rec.RecordNote(telemetry.EvTableDDL, int64(wal.TableDDLDrop), 0, int64(ts), name)
-	return walErr
+	return db.wal.AppendTableDDL(wal.TableDDLRecord{Name: name, Op: wal.TableDDLDrop, TS: ts})
 }
 
 // Truncate discards every row of the table — initial rows included —
@@ -109,32 +98,12 @@ func (db *DB) Truncate(name string) error {
 	}
 	db.lockAllShards()
 	ts := db.oracle.Completed()
-	t.ddlEpoch.Add(1)
-	t.visMutated.Store(true)
-	truncateRows(t, ts)
-	t.amu.Lock()
-	t.next, t.free = 0, nil
-	t.amu.Unlock()
-	// The count collapses to zero at every timestamp (base cancels the
-	// initial rows); post-truncate inserts append fresh deltas on top.
-	t.visLogReset(-int64(t.st.InitialRows()))
-	floor := db.gcFloor()
-	for _, c := range t.cols {
-		if ix := c.idx.Load(); ix != nil {
-			// An empty index with its build floor at the truncation:
-			// probes below ts fall back to the scan path, probes above
-			// see exactly the post-truncate rows commits maintain.
-			c.idx.Store(index.New(ix.Kind(), ts))
-		}
-		c.recomputeZones(floor)
-	}
+	db.truncateAt(t, ts)
 	db.unlockAllShards()
-	var walErr error
-	if db.wal != nil && !db.recovering {
-		walErr = db.wal.AppendTableDDL(wal.TableDDLRecord{Name: name, Op: wal.TableDDLTruncate, TS: ts})
+	if db.wal == nil {
+		return nil
 	}
-	db.tel.rec.RecordNote(telemetry.EvTableDDL, int64(wal.TableDDLTruncate), 0, int64(ts), name)
-	return walErr
+	return db.wal.AppendTableDDL(wal.TableDDLRecord{Name: name, Op: wal.TableDDLTruncate, TS: ts})
 }
 
 // truncateRows kills every row born at or below ts: birth back to the

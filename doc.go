@@ -169,11 +169,11 @@
 // another protocol version.
 //
 // WithReplicaOf(addr) opens the database as a read replica of a
-// serving primary: it bootstraps a checkpoint-style snapshot, then
-// continuously replays the primary's commit, load and schema records
-// through the same idempotent-by-commitTS rules crash recovery uses —
-// replication is recovery over the wire. The replica is a live
-// database serving OLAP snapshot reads at bounded, reported staleness
+// serving primary: it bootstraps from the checkpoint format streamed in
+// bounded frames, then continuously replays the primary's commit, load
+// and schema records through the very apply rules crash recovery runs
+// (apply.go) — replication is recovery over the wire. The replica is a
+// live database serving OLAP snapshot reads at bounded, reported staleness
 // (Stats.ReplicaAppliedTS against Stats.ReplicaSourceTS; the primary
 // reports per-replica lag in commits via Stats.MaxReplicaLag and the
 // ReplicaLagHist histogram). Local mutations fail with ErrReplicaRead

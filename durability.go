@@ -6,9 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"ankerdb/internal/index"
 	"ankerdb/internal/mvcc"
-	"ankerdb/internal/storage"
 	"ankerdb/internal/telemetry"
 	"ankerdb/internal/wal"
 )
@@ -26,6 +24,16 @@ func tableRecord(schema Schema, rows int) wal.TableRecord {
 		rec.Columns = append(rec.Columns, wal.ColumnDef{Name: c.Name, Type: uint8(c.Type), Index: uint8(c.Index)})
 	}
 	return rec
+}
+
+// tableSchema is tableRecord's inverse: the schema a logged table
+// record declares.
+func tableSchema(tr wal.TableRecord) Schema {
+	schema := Schema{Table: tr.Name}
+	for _, c := range tr.Columns {
+		schema.Columns = append(schema.Columns, ColumnDef{Name: c.Name, Type: ColumnType(c.Type), Index: IndexKind(c.Index)})
+	}
+	return schema
 }
 
 // wrecIndexDDL converts an online CreateIndex/DropIndex into its
@@ -89,7 +97,9 @@ func (db *DB) Checkpoint() error {
 	// Read side of the re-bootstrap gate (DB.olapGate): the pinned
 	// generation must not span a replica's in-place re-bootstrap, which
 	// fast-forwards the captured arrays under it.
-	db.olapGate.RLock()
+	if err := db.pinGate(); err != nil {
+		return err
+	}
 	defer db.olapGate.RUnlock()
 	g := db.snaps.acquireFresh()
 	defer db.snaps.release(g)
@@ -99,64 +109,10 @@ func (db *DB) Checkpoint() error {
 	// records the truncation below g.ts retains. Dropped slots are
 	// skipped — their drop record survives in the schema log and replay
 	// re-drops whatever state an older checkpoint would have carried.
-	db.mu.RLock()
-	tabs := make([]*table, 0, len(db.tabList))
-	for _, t := range db.tabList {
-		if !t.dropped.Load() {
-			tabs = append(tabs, t)
-		}
-	}
-	db.mu.RUnlock()
-
+	tabs := db.liveTables()
 	err := db.wal.WriteCheckpoint(g.ts, len(tabs), func(w *wal.CheckpointWriter) error {
 		for _, t := range tabs {
-			schema := t.st.Schema()
-			// Capture every column and the visibility arrays before
-			// writing anything: the table can grow chunk-wise while the
-			// checkpoint streams, so the table section's row count is
-			// the minimum captured capacity — rows born above it carry
-			// commit timestamps past the checkpoint's and replay from
-			// the retained WAL records.
-			snaps := make([]*colSnap, len(t.cols))
-			for i, c := range t.cols {
-				cs, err := g.colSnap(c)
-				if err != nil {
-					return err
-				}
-				snaps[i] = cs
-			}
-			vs, err := g.visSnap(t)
-			if err != nil {
-				return err
-			}
-			rows := vs.rows()
-			for _, cs := range snaps {
-				if cs.rows() < rows {
-					rows = cs.rows()
-				}
-			}
-			if err := w.BeginTable(t.idx, schema.Table, rows, len(t.cols)); err != nil {
-				return err
-			}
-			for _, cs := range snaps {
-				if err := storage.WriteWords(w, rows, cs.data.GetU); err != nil {
-					return err
-				}
-				if err := storage.WriteWords(w, rows, cs.wts.GetU); err != nil {
-					return err
-				}
-			}
-			if err := storage.WriteWords(w, rows, vs.data.GetU); err != nil {
-				return err
-			}
-			if err := storage.WriteWords(w, rows, vs.wts.GetU); err != nil {
-				return err
-			}
-			// The dictionary is read only now, after the last column
-			// capture: being append-only it is a superset of every code
-			// the captured words can hold, even with VARCHAR commits
-			// racing the checkpoint.
-			if err := w.FinishTable(t.st.Dict().Strings()); err != nil {
+			if err := writeTableSection(w, g, t); err != nil {
 				return err
 			}
 		}
@@ -313,14 +269,6 @@ func (db *DB) logLoad(c *column, vals []int64, strs []string) error {
 	return db.wal.AppendLoads(db.shardOf(c.id), recs)
 }
 
-// maxRecoveredRow bounds how far replay will grow a table for a
-// record's row index: a CRC-valid record never legitimately references
-// rows this far above anything the engine can allocate, so larger
-// indexes are treated like unknown addresses (the record is skipped)
-// instead of ballooning recovery memory. (1<<30, not 1<<31: the bound
-// must stay an int on 32-bit platforms.)
-const maxRecoveredRow = 1 << 30
-
 // visKey / visOp buffer replayed row ops per (table, row): segments
 // replay shard by shard in arbitrary cross-shard order, so births and
 // deaths of one row are collected first and applied in timestamp order
@@ -337,13 +285,13 @@ type visOp struct {
 // the schema log (recreating every table in original index order),
 // load the newest checkpoint into the column and visibility arrays
 // (growing tables to the checkpointed capacity), then re-apply WAL
-// commit records. Replay is idempotent by commit timestamp — a write
-// lands only if its record is newer than the row's current write
-// timestamp, and row ops are buffered and applied in timestamp order
-// per row — so record order across shard logs is irrelevant and
-// checkpoint-covered records are naturally skipped. Finally the oracle
-// is re-seeded from the newest durable commit timestamp and every
-// table's row allocator (high-water mark + free list) is rebuilt from
+// commit records through the shared apply rules (apply.go). Replay is
+// idempotent by commit timestamp — a write lands only if its record is
+// newer than the row's current write timestamp, and row ops are
+// buffered and applied in timestamp order per row — so record order
+// across shard logs is irrelevant and checkpoint-covered records are
+// naturally skipped. Finally the oracle is re-seeded from the newest
+// durable commit timestamp and every table's row state is rebuilt from
 // the recovered visibility arrays.
 func (db *DB) recover() error {
 	db.recovering = true
@@ -355,43 +303,22 @@ func (db *DB) recover() error {
 	// covers, making replay correct whether the surviving checkpoint
 	// predates or postdates the DDL.
 	type pendingDDL struct {
-		slot int
-		op   uint8
-		ts   uint64
+		t  *table
+		op uint8
+		ts uint64
 	}
 	var ddl []pendingDDL
 	if err := db.wal.ReplaySchemaDDL(func(tr wal.TableRecord) error {
-		schema := Schema{Table: tr.Name}
-		for _, c := range tr.Columns {
-			schema.Columns = append(schema.Columns, ColumnDef{Name: c.Name, Type: ColumnType(c.Type), Index: IndexKind(c.Index)})
-		}
-		return db.CreateTable(schema, tr.Rows)
+		return db.CreateTable(tableSchema(tr), tr.Rows)
 	}, func(ir wal.IndexDDLRecord) error {
-		// Online index DDL, replayed in log order over the declared
-		// state. Only existence is tracked here (empty placeholders);
-		// contents are rebuilt below once the arrays are recovered.
-		// Records that do not resolve against the durable schema prefix
-		// are skipped like out-of-prefix commit records.
-		t := db.tables[ir.Table]
-		if t == nil {
-			return nil
-		}
-		i := t.st.Schema().ColumnIndex(ir.Column)
-		if i < 0 {
-			return nil
-		}
-		if ir.Drop {
-			t.cols[i].idx.Store(nil)
-		} else if kind := IndexKind(ir.Kind); kind.Valid() {
-			t.cols[i].idx.Store(index.New(kind, 0))
-		}
+		db.applyIndexDDL(ir) // in log order over the declared state
 		return nil
 	}, func(dr wal.TableDDLRecord) error {
 		t := db.tables[dr.Name]
 		if t == nil {
 			return nil // out-of-prefix, skipped like index DDL
 		}
-		ddl = append(ddl, pendingDDL{slot: t.idx, op: dr.Op, ts: dr.TS})
+		ddl = append(ddl, pendingDDL{t: t, op: dr.Op, ts: dr.TS})
 		if dr.Op == wal.TableDDLDrop {
 			// Release the name now so a later re-creation record in the
 			// log replays against a free name; the slot stays occupied.
@@ -402,98 +329,52 @@ func (db *DB) recover() error {
 		return fmt.Errorf("ankerdb: recovery: schema log: %w", err)
 	}
 
-	ckptTS, ckptMaxWTS, err := db.loadCheckpoint()
-	if err != nil {
-		return fmt.Errorf("ankerdb: recovery: %w", err)
-	}
-
-	var replayed, loads uint64
-	maxTS := ckptTS
-	if ckptMaxWTS > maxTS {
-		// The checkpoint may have captured rows committed after its
-		// timestamp whose WAL records were then lost to a crash under
-		// SyncNone. Seeding at the max captured write timestamp keeps
-		// those rows' timestamps in the past, so re-issued commit
-		// timestamps can never collide with a recovered row's.
-		maxTS = ckptMaxWTS
-	}
-	visOps := map[visKey][]visOp{}
-	cols := make([]*column, 0, 8)
-	if err := db.wal.ReplayCommits(func(rec wal.LoadRecord) error {
-		// Bulk-load chunks are the state at time zero: a chunk value
-		// lands only on rows no commit has ever stamped, so replay is
-		// idempotent and insensitive to ordering against commit records
-		// — any committed write (timestamp > 0, whether recovered from
-		// the checkpoint or replayed) wins over a load. Chunks beyond
-		// the durable schema prefix are skipped like commit records.
-		c, ok := db.recoveredLoadColumn(rec)
-		if !ok {
-			return nil
-		}
-		if rec.HasStrs {
-			for i, s := range rec.Strs {
-				if row := rec.Start + i; c.wts.GetU(row) == 0 {
-					c.data.Set(row, c.dict.Encode(s))
-				}
-			}
-		} else {
-			for i, v := range rec.Vals {
-				if row := rec.Start + i; c.wts.GetU(row) == 0 {
-					c.data.Set(row, v)
-				}
-			}
-		}
-		loads++
-		return nil
-	}, func(rec wal.CommitRecord) error {
-		if rec.TS > maxTS {
-			maxTS = rec.TS
-		}
-		if rec.TS <= ckptTS {
-			return nil // fully covered by the checkpoint
-		}
-		// Resolve every address before applying anything: a record that
-		// references state beyond the durable schema prefix (possible
-		// only under SyncNone, when OS writeback persisted a segment
-		// page but not the schema log) is skipped whole — like a torn
-		// tail, and without breaking per-transaction atomicity. It must
-		// not fail recovery: that would make the directory permanently
-		// unopenable over a policy that only promises to lose recent
-		// commits. Rows above the recovered capacity are not errors —
-		// inserts put them there — so tables grow chunk-wise on demand.
-		cols = cols[:0]
-		for _, w := range rec.Writes {
-			c, ok := db.recoveredColumn(w)
-			if !ok {
-				return nil
-			}
-			cols = append(cols, c)
-		}
-		for _, op := range rec.Ops {
-			if op.Table < 0 || op.Table >= len(db.tabList) {
-				return nil
-			}
-			if op.Row < 0 || op.Row >= maxRecoveredRow {
-				return nil
-			}
-		}
-		for _, op := range rec.Ops {
-			t := db.tabList[op.Table]
-			if err := db.growRecovered(t, op.Row); err != nil {
+	// The checkpoint may have captured rows committed after its
+	// timestamp whose WAL records were then lost to a crash under
+	// SyncNone. Seeding at the max captured stamp (write, birth or
+	// death) keeps those rows' timestamps in the past, so re-issued
+	// commit timestamps can never collide with a recovered row's.
+	var maxTS uint64
+	noteTS := func(v uint64) { maxTS = max(maxTS, v) }
+	ckptTS, _, err := db.wal.LoadCheckpoint(func(_ uint64, ntables int, r *wal.CheckpointReader) error {
+		for i := 0; i < ntables; i++ {
+			if err := db.readTableSection(r, noteTS); err != nil {
 				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("ankerdb: recovery: %w", err)
+	}
+	noteTS(ckptTS)
+
+	var replayed, loads uint64
+	visOps := map[visKey][]visOp{}
+	var at resolved
+	if err := db.wal.ReplayCommits(func(rec wal.LoadRecord) error {
+		// Chunks beyond the durable schema prefix are skipped like
+		// commit records.
+		if c, ok := db.resolveLoad(rec); ok {
+			c.applyLoadChunk(rec)
+			loads++
+		}
+		return nil
+	}, func(rec wal.CommitRecord) error {
+		noteTS(rec.TS)
+		if rec.TS <= ckptTS {
+			return nil // fully covered by the checkpoint
+		}
+		if ok, err := db.resolve(&rec, &at); !ok {
+			return err
+		}
+		// Offline replay stores cells bare: no reader exists, chains
+		// stay empty, and zones and indexes are rebuilt below.
 		for i, w := range rec.Writes {
-			c := cols[i]
-			if rec.TS <= c.wts.GetU(w.Row) {
-				continue // a newer write already owns the row
+			if c := at.cols[i]; rec.TS > c.wts.GetU(w.Row) {
+				c.wts.SetU(w.Row, rec.TS)
+				c.data.Set(w.Row, c.redoValue(w))
 			}
-			val := w.Val
-			if w.HasStr {
-				val = c.dict.Encode(w.Str)
-			}
-			c.wts.SetU(w.Row, rec.TS)
-			c.data.Set(w.Row, val)
 		}
 		for _, op := range rec.Ops {
 			k := visKey{table: op.Table, row: op.Row}
@@ -511,32 +392,20 @@ func (db *DB) recover() error {
 	// commit issued after recovery could land at or below a truncate's
 	// timestamp and be killed by the NEXT recovery's replay of it.
 	for _, d := range ddl {
-		if d.ts > maxTS {
-			maxTS = d.ts
-		}
-		t := db.tabList[d.slot]
+		noteTS(d.ts)
 		switch d.op {
 		case wal.TableDDLTruncate:
-			t.visMutated.Store(true)
-			t.truncated = true
-			truncateRows(t, d.ts)
+			db.truncateAt(d.t, d.ts)
 		case wal.TableDDLDrop:
-			t.dropTS = d.ts
-			t.dropped.Store(true)
-			db.freeDropped(t)
+			db.dropAt(d.t, d.ts)
+			db.freeDropped(d.t) // no reader exists yet, whatever the floor says
 		}
 	}
-	db.rebuildRowState()
-	// Replay wrote straight into the arrays without maintaining zone
-	// maps; rebuild them exactly while recovery is still single-threaded
-	// (floor 0: chains are empty after recovery, nothing is reclaimed
-	// that the arrays don't already show).
-	db.recomputeZones(0)
-	// Secondary indexes rebuild from the same recovered arrays — the
-	// durable prefix, torn tails already cut — so post-recovery probes
-	// match scans at every timestamp (index_db.go documents the
+	// Row state, zones and indexes all rebuild from the recovered arrays
+	// — the durable prefix, torn tails already cut — so post-recovery
+	// probes match scans at every timestamp (index_db.go documents the
 	// rebuild-vs-log trade).
-	db.rebuildIndexes()
+	db.recoveredIndexes = db.rebuildDerived()
 	db.oracle.Seed(maxTS)
 	db.recoveredTxns = replayed
 	db.recoveredLoads = loads
@@ -548,21 +417,19 @@ func (db *DB) recover() error {
 // births the row at its timestamp, each delete kills it — so the final
 // (birth, death) pair reflects the newest durable incarnation
 // regardless of the order segments were streamed in. Ops at or below
-// the newest stamp the checkpoint already recovered for the row are
-// skipped — the checkpointed pair reflects their effect (or a newer
-// one) — mirroring the newer-wins idempotence rule write replay
-// applies per cell, so replaying a record any number of times (or one
+// the newest stamp the checkpoint already recovered for the row
+// (visFloor) are skipped — the checkpointed pair reflects their effect
+// (or a newer one) — so replaying a record any number of times (or one
 // that survived truncation in a foreign shard series) never regresses
-// recovered state.
+// recovered state. This is the one writer of birth stamps besides
+// installRowOp: offline, it needs none of the live path's index,
+// counter and visibility-log maintenance.
 func (db *DB) applyVisOps(visOps map[visKey][]visOp) {
 	for k, ops := range visOps {
 		sort.Slice(ops, func(i, j int) bool { return ops[i].ts < ops[j].ts })
 		t := db.tabList[k.table]
 		birth, death := t.st.Birth(), t.st.Death()
-		floor := death.GetU(k.row)
-		if b := birth.GetU(k.row); b != storage.NeverTS && b > floor {
-			floor = b
-		}
+		floor := t.visFloor(k.row)
 		for _, op := range ops {
 			if op.ts <= floor {
 				continue
@@ -575,211 +442,4 @@ func (db *DB) applyVisOps(visOps map[visKey][]visOp) {
 			}
 		}
 	}
-}
-
-// rebuildRowState recomputes every table's row allocator from the
-// recovered visibility arrays: the high-water mark covers every slot
-// ever used, slots whose reclaimed state a checkpoint persisted
-// (birth NeverTS with a death stamp) return to the free list, and
-// visMutated reflects whether any row was ever transactionally born
-// or killed.
-func (db *DB) rebuildRowState() {
-	for _, t := range db.tabList {
-		if t.dropped.Load() {
-			continue
-		}
-		birth, death := t.st.Birth(), t.st.Death()
-		next := t.st.InitialRows()
-		var free []int
-		var live int64
-		mutated := t.truncated
-		for row, capacity := 0, t.st.Capacity(); row < capacity; row++ {
-			b, d := birth.GetU(row), death.GetU(row)
-			switch {
-			case b != storage.NeverTS:
-				if row >= next {
-					next = row + 1
-				}
-				if d == 0 {
-					live++
-				}
-				if b != 0 || d != 0 {
-					mutated = true
-				}
-			case d != 0:
-				// Reclaimed by a pre-crash Vacuum and persisted by a
-				// checkpoint: the slot is free for reuse.
-				free = append(free, row)
-				if row >= next {
-					next = row + 1
-				}
-				mutated = true
-			}
-		}
-		t.next, t.free = next, free
-		if next > t.st.InitialRows() {
-			mutated = true
-		}
-		t.visMutated.Store(mutated)
-		// The recovered arrays already reflect every durable row op and
-		// every reachable read timestamp sits above them, so the whole
-		// visibility history collapses into the log's base.
-		t.visLogReset(live - int64(t.st.InitialRows()))
-	}
-}
-
-// growRecovered grows t (and its per-chunk scan metadata) to cover
-// row, chunk-wise. Recovery is single-threaded, but the allocator
-// mutex also orders the metadata growth against nothing for free.
-func (db *DB) growRecovered(t *table, row int) error {
-	if row < t.st.Capacity() {
-		return nil
-	}
-	t.amu.Lock()
-	defer t.amu.Unlock()
-	if err := t.st.EnsureCapacity(row + 1); err != nil {
-		return err
-	}
-	t.growMetas()
-	return nil
-}
-
-// recoveredColumn resolves a redo write's column against the
-// recovered schema, growing the table when the write lands above its
-// recovered capacity (rows born by inserts); ok is false for
-// addresses the durable schema prefix does not cover.
-func (db *DB) recoveredColumn(w wal.RedoWrite) (*column, bool) {
-	if w.Table < 0 || w.Table >= len(db.tabList) {
-		return nil, false
-	}
-	t := db.tabList[w.Table]
-	if w.Col < 0 || w.Col >= len(t.cols) {
-		return nil, false
-	}
-	if w.Row < 0 || w.Row >= maxRecoveredRow {
-		return nil, false
-	}
-	if err := db.growRecovered(t, w.Row); err != nil {
-		return nil, false
-	}
-	return t.cols[w.Col], true
-}
-
-// recoveredLoadColumn resolves a bulk-load chunk's column and validates
-// its window and value type against the recovered schema; ok is false
-// when the durable schema prefix does not cover it.
-func (db *DB) recoveredLoadColumn(r wal.LoadRecord) (*column, bool) {
-	if r.Table < 0 || r.Table >= len(db.tabList) {
-		return nil, false
-	}
-	t := db.tabList[r.Table]
-	if r.Col < 0 || r.Col >= len(t.cols) {
-		return nil, false
-	}
-	c := t.cols[r.Col]
-	n := len(r.Vals)
-	if r.HasStrs {
-		n = len(r.Strs)
-	}
-	if r.Start < 0 || n > c.data.Rows()-r.Start {
-		return nil, false
-	}
-	if r.HasStrs != (c.def.Type == Varchar) {
-		return nil, false
-	}
-	return c, true
-}
-
-// loadCheckpoint streams the newest checkpoint, if any, into the
-// recreated tables: column bodies arrive as fixed-size word windows
-// (storage.ReadWordsRegion) stored in place through page-wise bulk
-// writes, so restart memory stays O(chunk) however large the columns
-// are. Tables grow to the checkpointed capacity first — a checkpoint
-// taken after inserts covers more rows than the schema log's initial
-// count — and the visibility (birth/death) arrays stream back after
-// the columns. It returns the checkpoint timestamp and the maximum
-// commit timestamp of any loaded row (write, birth or death stamps;
-// both 0 without a checkpoint) — the latter can exceed the former when
-// the checkpoint captured rows committed after its timestamp, and the
-// oracle must be seeded above it.
-func (db *DB) loadCheckpoint() (uint64, uint64, error) {
-	var maxWTS uint64
-	noteTS := func(v uint64) {
-		if v != storage.NeverTS && v > maxWTS {
-			maxWTS = v
-		}
-	}
-	ts, ok, err := db.wal.LoadCheckpoint(func(_ uint64, ntables int, r *wal.CheckpointReader) error {
-		for i := 0; i < ntables; i++ {
-			slot, name, rows, cols, err := r.TableHeader()
-			if err != nil {
-				return err
-			}
-			// Sections address tables by schema-log slot, not name: after
-			// a drop and same-name re-creation both incarnations replayed
-			// from the schema log, and a pre-drop checkpoint's section
-			// must load into the dropped incarnation's slot (the pending
-			// drop record then clears it), never the new table's.
-			if slot < 0 || slot >= len(db.tabList) {
-				return fmt.Errorf("checkpointed table %q claims slot %d of %d", name, slot, len(db.tabList))
-			}
-			t := db.tabList[slot]
-			if got := t.st.Schema().Table; got != name {
-				return fmt.Errorf("checkpointed table %q at slot %d, schema log says %q", name, slot, got)
-			}
-			if len(t.cols) != cols {
-				return fmt.Errorf("checkpointed table %q has %d columns, schema log says %d",
-					name, cols, len(t.cols))
-			}
-			if rows < 0 || rows > maxRecoveredRow {
-				return fmt.Errorf("checkpointed table %q claims %d rows", name, rows)
-			}
-			if err := db.growRecovered(t, rows-1); err != nil {
-				return err
-			}
-			for _, c := range t.cols {
-				if err := storage.ReadWordsRegion(r, rows, c.data.FillWindow); err != nil {
-					return err
-				}
-				if err := storage.ReadWordsRegion(r, rows, func(start int, words []uint64) {
-					for _, v := range words {
-						noteTS(v)
-					}
-					c.wts.FillWindow(start, words)
-				}); err != nil {
-					return err
-				}
-			}
-			birth, death := t.st.Birth(), t.st.Death()
-			if err := storage.ReadWordsRegion(r, rows, func(start int, words []uint64) {
-				for _, v := range words {
-					noteTS(v) // NeverTS (unborn) is excluded from the seed
-				}
-				birth.FillWindow(start, words)
-			}); err != nil {
-				return err
-			}
-			if err := storage.ReadWordsRegion(r, rows, func(start int, words []uint64) {
-				for _, v := range words {
-					noteTS(v)
-				}
-				death.FillWindow(start, words)
-			}); err != nil {
-				return err
-			}
-			dict, err := r.TableDict()
-			if err != nil {
-				return err
-			}
-			t.st.Dict().Load(dict)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	if !ok {
-		return 0, 0, nil
-	}
-	return ts, maxWTS, nil
 }

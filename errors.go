@@ -142,3 +142,9 @@ func (e *notVisibleError) Error() string {
 func (e *notVisibleError) Is(target error) bool {
 	return target == ErrRowNotVisible || target == ErrRowRange
 }
+
+// errHalfBootstrapped is what a snapshot pin gets on a replica whose
+// in-place re-bootstrap died half-way (DB.halfBootstrapped); the
+// connector keeps retrying, and reads resume with the first bootstrap
+// that completes. Promote wraps it in ErrStalePromotion.
+var errHalfBootstrapped = errors.New("ankerdb: replica re-bootstrap incomplete, no consistent state to read")

@@ -6,19 +6,20 @@ import (
 	"ankerdb/internal/index"
 	"ankerdb/internal/storage"
 	"ankerdb/internal/telemetry"
+	"ankerdb/internal/wal"
 )
 
 // Secondary-index DDL and (re)build paths. The durability model is
 // rebuild-at-recovery: index *entries* are never WAL-logged — commits
 // pay zero extra log bytes for maintenance — and recovery instead
 // rebuilds every index deterministically from the recovered column and
-// visibility arrays after replay (durability.go). What is persisted is
-// the *existence* of an index: schema-declared indexes ride the table
-// record, online CreateIndex/DropIndex append index-DDL records to the
-// same never-truncated schema log. The trade against logging entries:
-// recovery pays one O(rows) pass per indexed column, which streams the
-// same arrays rebuildRowState already touched, in exchange for a
-// commit path whose WAL traffic is completely unchanged.
+// visibility arrays after replay (rebuildDerived, apply.go). What is
+// persisted is the *existence* of an index: schema-declared indexes
+// ride the table record, online CreateIndex/DropIndex append index-DDL
+// records to the same never-truncated schema log. The trade against
+// logging entries: recovery pays one O(rows) pass per indexed column,
+// which streams the same arrays rebuildDerived already scans, in
+// exchange for a commit path whose WAL traffic is completely unchanged.
 
 // buildColumnIndex builds an index over c's current contents. Each
 // entry copies its row's actual birth/death extent, so a probe at any
@@ -49,19 +50,43 @@ func buildColumnIndex(c *column, kind IndexKind, minTS uint64) *index.Index {
 	return ix
 }
 
-// reindexColumn rebuilds c's index (if any) from scratch after a bulk
-// load replaced the column's contents. The build floor moves up to the
-// current completed timestamp: generations pinned before the load fall
-// back to the scan path, which reads the same post-load arrays, so the
-// two paths stay in agreement.
-func (db *DB) reindexColumn(c *column) {
-	old := c.idx.Load()
-	if old == nil {
-		return
-	}
+// indexColumn publishes a fresh index of the given kind over c's
+// contents, built under every shard commit lock with the completed
+// watermark as its floor (returned): generations pinned below it fall
+// back to the scan path, which reads the same arrays.
+func (db *DB) indexColumn(c *column, kind IndexKind) (minTS uint64) {
 	db.lockAllShards()
-	c.idx.Store(buildColumnIndex(c, old.Kind(), db.oracle.Completed()))
-	db.unlockAllShards()
+	defer db.unlockAllShards()
+	minTS = db.oracle.Completed()
+	c.idx.Store(buildColumnIndex(c, kind, minTS))
+	return minTS
+}
+
+// reindexColumn rebuilds c's index (if any) from scratch after a bulk
+// load replaced the column's contents.
+func (db *DB) reindexColumn(c *column) {
+	if old := c.idx.Load(); old != nil {
+		db.indexColumn(c, old.Kind())
+	}
+}
+
+// applyIndexDDL applies a logged CreateIndex/DropIndex record — on a
+// replica, and in recovery's schema-log replay, where only existence is
+// tracked (rebuildDerived fills the index once the arrays are
+// recovered). Records that do not resolve (dropped tables, a schema
+// prefix that ends early) are skipped like out-of-prefix commit records.
+func (db *DB) applyIndexDDL(rec wal.IndexDDLRecord) {
+	c, err := db.lookup(rec.Table, rec.Column)
+	switch kind := IndexKind(rec.Kind); {
+	case err != nil:
+	case rec.Drop:
+		c.idx.Store(nil)
+	case !kind.Valid():
+	case db.recovering:
+		c.idx.Store(index.New(kind, 0))
+	default:
+		db.indexColumn(c, kind)
+	}
 }
 
 // CreateIndex builds a secondary index of the given kind over an
@@ -122,23 +147,4 @@ func (db *DB) DropIndex(tab, col string) error {
 		return db.wal.AppendIndexDDL(wrecIndexDDL(tab, col, NoIndex, true))
 	}
 	return nil
-}
-
-// rebuildIndexes gives every surviving index its contents after
-// recovery replay: the recovered arrays reflect exactly the durable
-// prefix (including a torn tail cut off by rebuildRowState), version
-// chains are empty, and nothing runs concurrently — so a full rebuild
-// at floor 0 is deterministic and exact at every timestamp.
-func (db *DB) rebuildIndexes() {
-	for _, t := range db.tabList {
-		if t.dropped.Load() {
-			continue
-		}
-		for _, c := range t.cols {
-			if old := c.idx.Load(); old != nil {
-				c.idx.Store(buildColumnIndex(c, old.Kind(), 0))
-				db.recoveredIndexes++
-			}
-		}
-	}
 }

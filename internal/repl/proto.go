@@ -16,9 +16,10 @@
 // prefixed strings, a bounds-checked cursor on the way in):
 // replication record types (MsgCommit, MsgLoad, MsgSchema) carry WAL
 // record payloads verbatim — the replica replays exactly the bytes the
-// primary made durable — snapshot table bodies carry the raw
-// column-word layout described in the root package, and the control
-// messages have the fixed layouts below. Session requests and
+// primary made durable — snapshot chunks (MsgSnapChunk) carry
+// consecutive slices of the checkpoint format's table sections
+// (internal/wal/checkpoint.go), and the control messages have the
+// fixed layouts below. Session requests and
 // responses (MsgRequest, MsgResponse) are op-tagged layouts owned by
 // the root package, built from the same primitives.
 //
@@ -68,9 +69,10 @@ const (
 	MsgSchema MsgType = 3
 	// MsgSnapBegin opens a snapshot bootstrap: SnapBegin.
 	MsgSnapBegin MsgType = 4
-	// MsgSnapTable carries one table's snapshot body (raw column words;
-	// layout owned by the root package).
-	MsgSnapTable MsgType = 5
+	// MsgSnapChunk carries the next bounded slice of the snapshot body:
+	// the announced tables' checkpoint sections, concatenated and cut
+	// into frames without regard to section boundaries.
+	MsgSnapChunk MsgType = 5
 	// MsgSnapEnd closes a snapshot bootstrap: SnapEnd.
 	MsgSnapEnd MsgType = 6
 	// MsgCommit carries one commit record payload in WAL encoding.
@@ -96,8 +98,10 @@ const (
 
 // ProtoVersion is the wire protocol version a Hello announces. A server
 // refuses any other value with a MsgErr, so a peer speaking another
-// encoding is turned away cleanly instead of misparsed.
-const ProtoVersion = 1
+// encoding is turned away cleanly instead of misparsed. Version 2
+// replaced the one-frame-per-table snapshot body (an O(table) frame)
+// with the chunked checkpoint-format body.
+const ProtoVersion = 2
 
 // ErrBadFrame is the error every malformed frame or message body
 // matches: a length out of range, a checksum mismatch, a truncated or
@@ -166,7 +170,7 @@ func (w *Welcome) Wire(x binenc.Codec) { x.Bool(&w.Snapshot); binenc.U64(x, &w.T
 // SnapBegin opens a snapshot bootstrap.
 type SnapBegin struct {
 	TS     uint64 // snapshot timestamp: the state of every table at TS
-	Tables int    // number of MsgSnapTable frames that follow
+	Tables int    // number of table sections the MsgSnapChunk frames carry
 }
 
 func (s *SnapBegin) Wire(x binenc.Codec) { binenc.U64(x, &s.TS); binenc.U32(x, &s.Tables) }
@@ -362,7 +366,7 @@ func (c *Conn) ReadMsg() (MsgType, []byte, error) {
 	for len(body) < int(n) {
 		have := len(body)
 		if have == cap(body) {
-			// Geometric, so a large honest frame (a snapshot table) is
+			// Geometric, so a large honest frame (a bulk-load chunk) is
 			// copied O(1) times — yet never more than 4x what arrived.
 			grown := make([]byte, have, min(int(n), max(4*have, have+readStep)))
 			copy(grown, body)

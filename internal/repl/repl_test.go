@@ -482,12 +482,12 @@ func TestReadMsgLargeFrame(t *testing.T) {
 	big := make([]byte, 3*readStep+12345)
 	_, _ = rand.New(rand.NewSource(1)).Read(big) // never fails
 	go func() {
-		_ = ca.WriteMsg(MsgSnapTable, big)
+		_ = ca.WriteMsg(MsgSnapChunk, big)
 		_ = ca.WriteMsg(MsgCommit, big[:100])
 		_ = ca.Flush()
 	}()
 	typ, payload, err := cb.ReadMsg()
-	if err != nil || typ != MsgSnapTable || !bytes.Equal(payload, big) {
+	if err != nil || typ != MsgSnapChunk || !bytes.Equal(payload, big) {
 		t.Fatalf("large frame: type %d, %d bytes, err %v", typ, len(payload), err)
 	}
 	typ, payload, err = cb.ReadMsg()

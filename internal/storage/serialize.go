@@ -57,8 +57,8 @@ func ReadWords(r io.Reader, n int, set func(row int, v uint64)) error {
 // address space) instead of paying the per-word accessor indirection.
 // This is the recovery hot path: checkpoint bodies stream through a
 // fixed window regardless of column size, keeping restart memory
-// O(chunk) while columns fill in place.
-func ReadWordsRegion(r io.Reader, n int, fill func(start int, words []uint64)) error {
+// O(chunk) while columns fill in place. A fill error ends the read.
+func ReadWordsRegion(r io.Reader, n int, fill func(start int, words []uint64) error) error {
 	var buf [8 * serializeChunk]byte
 	var words [serializeChunk]uint64
 	for i := 0; i < n; {
@@ -72,7 +72,9 @@ func ReadWordsRegion(r io.Reader, n int, fill func(start int, words []uint64)) e
 		for j := 0; j < k; j++ {
 			words[j] = binary.LittleEndian.Uint64(buf[8*j:])
 		}
-		fill(i, words[:k])
+		if err := fill(i, words[:k]); err != nil {
+			return err
+		}
 		i += k
 	}
 	return nil

@@ -3,10 +3,12 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
 	"sort"
 )
@@ -17,7 +19,7 @@ import (
 //	ts u64                        checkpoint timestamp (snapshot
 //	                              generation timestamp)
 //	ntables u32
-//	per table:
+//	per table (one "table section"):
 //	  slot u32, name (u32 len + bytes), rows u64, ncols u32
 //	  (slot is the table's schema-log position — the stable index
 //	  recovery addresses tables by. Names alone are ambiguous once
@@ -44,6 +46,13 @@ import (
 // crash mid-checkpoint leaves the previous checkpoint authoritative;
 // the trailer plus whole-file CRC reject any file that somehow ends up
 // incomplete.
+//
+// The table sections are also the body of a replica bootstrap, streamed
+// through NewCheckpointWriter into bounded wire frames and read back
+// through NewCheckpointReader (the root package's writeTableSection /
+// readTableSection serve file and wire alike). There the frames carry
+// checksums and SnapBegin the timestamp and table count, so magic,
+// header and seal stay file-only.
 
 var (
 	ckptMagic   = []byte("ANKCKPT3")
@@ -60,6 +69,20 @@ type CheckpointWriter struct {
 	bw  *bufio.Writer
 	crc hash.Hash32
 	err error
+}
+
+// NewCheckpointWriter streams table sections into w. Call Flush after
+// the last one.
+func NewCheckpointWriter(w io.Writer) *CheckpointWriter {
+	return &CheckpointWriter{bw: bufio.NewWriterSize(w, 1<<16), crc: crc32.NewIEEE()}
+}
+
+// Flush pushes buffered section bytes to the underlying writer.
+func (w *CheckpointWriter) Flush() error {
+	if w.err == nil {
+		w.err = w.bw.Flush()
+	}
+	return w.err
 }
 
 // Write implements io.Writer.
@@ -136,7 +159,7 @@ func (l *Log) WriteCheckpoint(ts uint64, ntables int, stream func(w *CheckpointW
 		_ = l.fs.Remove(tmp)
 		return err
 	}
-	w := &CheckpointWriter{bw: bufio.NewWriterSize(f, 1<<16), crc: crc32.NewIEEE()}
+	w := NewCheckpointWriter(f)
 	_, _ = w.Write(ckptMagic)
 	w.u64(ts)
 	w.u32(uint32(ntables))
@@ -152,10 +175,7 @@ func (l *Log) WriteCheckpoint(ts uint64, ntables int, stream func(w *CheckpointW
 	// Seal: CRC of everything written so far, then the trailer magic.
 	w.u32(w.crc.Sum32())
 	_, _ = w.Write(ckptTrailer)
-	if w.err != nil {
-		return abort(w.err)
-	}
-	if err := w.bw.Flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		return abort(err)
 	}
 	if err := l.sync(f); err != nil {
@@ -193,17 +213,43 @@ func (l *Log) WriteCheckpoint(ts uint64, ntables int, stream func(w *CheckpointW
 // verified after the body has been consumed (LoadCheckpoint compares
 // the incremental CRC against the sealed one) — recovery applies data
 // before the verdict, which is safe because a mismatch fails the whole
-// Open and the partially filled state is discarded.
+// Open and the partially filled state is discarded. A body that ends
+// early or contradicts itself is a CorruptError matching
+// ErrCorruptCheckpoint that names the source and the body offset
+// reached; any other failure of the underlying reader (a bootstrap
+// stream's timeout, refused frame or primary-side abort) is returned as
+// it came — a network stall is not a corrupt checkpoint.
 type CheckpointReader struct {
 	br        *bufio.Reader
 	crc       hash.Hash32
-	remaining int64 // body bytes not yet consumed (trailer excluded)
+	name      string // the file's path, or "stream"
+	size      int64  // body length (trailer excluded; unbounded for a stream)
+	remaining int64  // body bytes not yet consumed
+}
+
+// NewCheckpointReader reads table sections from a stream of unknown
+// length (a replica bootstrap). Nothing it allocates is sized by a
+// length prefix alone: strings grow as their bytes arrive.
+func NewCheckpointReader(r io.Reader) *CheckpointReader {
+	return &CheckpointReader{
+		br:        bufio.NewReaderSize(r, replayBufSize),
+		crc:       crc32.NewIEEE(),
+		name:      "stream",
+		size:      math.MaxInt64,
+		remaining: math.MaxInt64,
+	}
+}
+
+// Corrupt returns a corruption error located at the reader's position,
+// for section consumers that find a body contradicting their schema.
+func (r *CheckpointReader) Corrupt(format string, args ...any) error {
+	return corruptCkpt(r.name, r.size-r.remaining, format, args...)
 }
 
 // Read implements io.Reader.
 func (r *CheckpointReader) Read(p []byte) (int, error) {
 	if r.remaining <= 0 {
-		return 0, fmt.Errorf("wal: checkpoint exhausted")
+		return 0, r.Corrupt("body exhausted")
 	}
 	if int64(len(p)) > r.remaining {
 		p = p[:r.remaining]
@@ -215,20 +261,29 @@ func (r *CheckpointReader) Read(p []byte) (int, error) {
 		err = nil // deliver the bytes; the next call reports the error
 	}
 	if err != nil {
-		return n, fmt.Errorf("wal: checkpoint truncated: %w", err)
+		return n, r.readErr(err)
 	}
 	return n, nil
+}
+
+// readErr classifies a failure of the underlying reader: only running
+// out of bytes is corruption.
+func (r *CheckpointReader) readErr(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return r.Corrupt("truncated")
+	}
+	return err
 }
 
 // take consumes exactly n body bytes into a small scratch slice valid
 // until the next read.
 func (r *CheckpointReader) take(n int) ([]byte, error) {
 	if int64(n) > r.remaining {
-		return nil, fmt.Errorf("wal: checkpoint truncated")
+		return nil, r.Corrupt("truncated")
 	}
 	b, err := r.br.Peek(n)
 	if err != nil {
-		return nil, fmt.Errorf("wal: checkpoint truncated: %w", err)
+		return nil, r.readErr(err)
 	}
 	r.crc.Write(b)
 	if _, err := r.br.Discard(n); err != nil {
@@ -260,14 +315,22 @@ func (r *CheckpointReader) str() (string, error) {
 		return "", err
 	}
 	if int64(n) > r.remaining {
-		return "", fmt.Errorf("wal: checkpoint truncated")
+		return "", r.Corrupt("string of %d bytes in a %d-byte body", n, r.remaining)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
+	// The prefix is not trusted with memory: the buffer grows as the
+	// bytes arrive, one step at most ahead of them.
+	var b []byte
+	for have := 0; have < int(n); have = len(b) {
+		b = append(b, make([]byte, min(int(n)-have, strStep))...)
+		if _, err := io.ReadFull(r, b[have:]); err != nil {
+			return "", err
+		}
 	}
 	return string(b), nil
 }
+
+// strStep is the most str reads (and allocates) ahead of arrived bytes.
+const strStep = 1 << 16
 
 // TableHeader reads the next table section header written by
 // BeginTable. The caller must follow with exactly cols (data, wts)
@@ -302,7 +365,7 @@ func (r *CheckpointReader) TableDict() ([]string, error) {
 		return nil, err
 	}
 	if int64(d32) > r.remaining {
-		return nil, fmt.Errorf("wal: checkpoint dictionary claims %d strings in %d bytes", d32, r.remaining)
+		return nil, r.Corrupt("dictionary claims %d strings in %d bytes", d32, r.remaining)
 	}
 	var dict []string
 	for i := 0; i < int(d32); i++ {
@@ -354,11 +417,9 @@ func (l *Log) LoadCheckpoint(load func(ts uint64, ntables int, r *CheckpointRead
 	}
 	wantCRC := binary.LittleEndian.Uint32(tail[:4])
 
-	r := &CheckpointReader{
-		br:        bufio.NewReaderSize(f, replayBufSize),
-		crc:       crc32.NewIEEE(),
-		remaining: fi.Size() - ckptTrailerLen,
-	}
+	r := NewCheckpointReader(f)
+	r.name, r.size = newest.path, fi.Size()-ckptTrailerLen
+	r.remaining = r.size
 	l.notePeak(replayBufSize)
 	magic, err := r.take(len(ckptMagic))
 	if err != nil || string(magic) != string(ckptMagic) {
@@ -373,12 +434,16 @@ func (l *Log) LoadCheckpoint(load func(ts uint64, ntables int, r *CheckpointRead
 		return 0, false, err
 	}
 	if err := load(ts, int(n32), r); err != nil {
-		return 0, false, corruptCkpt(newest.path, fi.Size()-ckptTrailerLen-r.remaining, "%v", err)
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			err = r.Corrupt("%v", err)
+		}
+		return 0, false, err
 	}
 	// Drain whatever the loader did not consume so the CRC covers the
 	// whole body, then compare against the sealed sum.
 	if _, err := io.Copy(io.Discard, r); err != nil && r.remaining > 0 {
-		return 0, false, corruptCkpt(newest.path, fi.Size()-ckptTrailerLen-r.remaining, "%v", err)
+		return 0, false, err
 	}
 	if r.crc.Sum32() != wantCRC {
 		return 0, false, corruptCkpt(newest.path, fi.Size()-ckptTrailerLen, "checksum mismatch")

@@ -1,19 +1,16 @@
 package ankerdb
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ankerdb/internal/index"
 	"ankerdb/internal/mvcc"
 	"ankerdb/internal/repl"
-	"ankerdb/internal/storage"
 	"ankerdb/internal/telemetry"
 	"ankerdb/internal/wal"
 )
@@ -22,10 +19,11 @@ import (
 // commit, bulk-load and schema-log records, byte-identical to what its
 // own crash recovery would replay — to read replicas over the framed
 // protocol in internal/repl. A replica applies the stream continuously
-// through the same idempotent-by-commitTS rules recovery uses, so
-// primary and replica state converge by construction: replication IS
-// recovery over the wire, with a consistent snapshot (the checkpoint
-// format's sibling) as the bootstrap instead of a checkpoint file.
+// through the idempotent-by-commitTS apply rules recovery runs — the
+// same functions (apply.go), so primary and replica state converge by
+// construction: replication IS recovery over the wire, bootstrapped by
+// the checkpoint body itself — its table sections, cut into MsgSnapChunk
+// frames of at most snapChunkLen bytes — instead of a checkpoint file.
 //
 // Ordering. The publisher (internal/repl) releases records in WAL
 // append order, commits gated behind the completion watermark, and
@@ -44,7 +42,9 @@ import (
 // recoverable (its own WAL holds applied-beyond-watermark records that
 // recovery seeds past), so a restarted replica re-bootstraps from a
 // fresh snapshot — which fast-forwards whatever recovered state it
-// already had.
+// already had. A fast-forward that dies mid-table leaves torn rows:
+// until a later one completes the replica refuses snapshot pins and
+// promotion (DB.halfBootstrapped) and redials for a whole snapshot.
 
 // replHistCap is the publisher's retained-record window: how far back
 // a reconnecting replica can resume without a re-bootstrap.
@@ -154,14 +154,63 @@ func (db *DB) maxReplicaLag() uint64 {
 	return max
 }
 
+// snapChunkLen bounds the body of one bootstrap frame: the snapshot
+// body — the checkpoint format's table sections, one after another —
+// crosses the wire cut into MsgSnapChunk frames of at most this many
+// bytes (the section writer's 64 KiB buffer makes most exactly that
+// long), so neither side ever holds more than a chunk of it. A
+// bootstrapping replica lowers its read limit to this bound, which
+// therefore also caps the schema frames that precede the body.
+const snapChunkLen = 256 << 10
+
+// snapChunkWriter is the io.Writer the primary's section writer
+// streams into: every write leaves as MsgSnapChunk frames.
+type snapChunkWriter struct{ c *repl.Conn }
+
+func (w snapChunkWriter) Write(p []byte) (int, error) {
+	for off := 0; off < len(p); off += snapChunkLen {
+		if err := w.c.WriteMsg(repl.MsgSnapChunk, p[off:min(off+snapChunkLen, len(p))]); err != nil {
+			return off, err
+		}
+	}
+	return len(p), nil
+}
+
+// snapChunkReader is its inverse on the replica: an io.Reader over the
+// payloads of consecutive MsgSnapChunk frames. Any other frame inside
+// the body ends it with an error.
+type snapChunkReader struct {
+	next func() (repl.MsgType, []byte, error) // the deadlined frame read
+	cur  []byte                               // unread rest of the current frame (valid until the next read)
+}
+
+func (r *snapChunkReader) Read(p []byte) (int, error) {
+	for len(r.cur) == 0 {
+		typ, payload, err := r.next()
+		switch {
+		case err != nil:
+			return 0, err
+		case typ == repl.MsgErr:
+			return 0, wireErr("primary aborted bootstrap", payload)
+		case typ != repl.MsgSnapChunk:
+			return 0, fmt.Errorf("%w: frame type %d inside the snapshot body", repl.ErrBadFrame, typ)
+		}
+		r.cur = payload
+	}
+	n := copy(p, r.cur)
+	r.cur = r.cur[n:]
+	return n, nil
+}
+
 // streamBootstrap ships a consistent snapshot to a freshly attached
 // replica: the full schema log raw (so the replica reproduces the
 // exact table-slot assignment the commit records address), then every
-// live table's state at one snapshot generation timestamp. The caller
-// attached the replica's subscriber BEFORE calling — records released
-// during the capture are duplicated into the snapshot, which the
-// replay-by-timestamp rules make harmless; the reverse order would
-// lose them.
+// live table's section at one snapshot generation timestamp — the
+// checkpoint body, written by the checkpoint's own section writer into
+// bounded frames instead of a file. The caller attached the replica's
+// subscriber BEFORE calling — records released during the capture are
+// duplicated into the snapshot, which the replay-by-timestamp rules
+// make harmless; the reverse order would lose them.
 func (db *DB) streamBootstrap(c *repl.Conn) error {
 	if err := db.wal.ReplaySchemaRaw(func(seq uint64, payload []byte) error {
 		return c.WriteMsg(repl.MsgSchema, schemaFrame(seq, payload))
@@ -171,212 +220,29 @@ func (db *DB) streamBootstrap(c *repl.Conn) error {
 	// Read side of the re-bootstrap gate: on a replica serving as a
 	// chained primary, the snapshot capture must not span the replica's
 	// own in-place re-bootstrap.
-	db.olapGate.RLock()
+	if err := db.pinGate(); err != nil {
+		return err
+	}
 	defer db.olapGate.RUnlock()
 	g := db.snaps.acquireFresh()
 	defer db.snaps.release(g)
-	db.mu.RLock()
-	tabs := make([]*table, 0, len(db.tabList))
-	for _, t := range db.tabList {
-		if !t.dropped.Load() {
-			tabs = append(tabs, t)
-		}
-	}
-	db.mu.RUnlock()
+	tabs := db.liveTables()
 	if err := c.WriteBody(repl.MsgSnapBegin, &repl.SnapBegin{TS: g.ts, Tables: len(tabs)}); err != nil {
 		return err
 	}
+	w := wal.NewCheckpointWriter(snapChunkWriter{c})
 	for _, t := range tabs {
-		body, err := encodeSnapTable(g, t)
-		if err != nil {
+		if err := writeTableSection(w, g, t); err != nil {
 			return err
 		}
-		if err := c.WriteMsg(repl.MsgSnapTable, body); err != nil {
-			return err
-		}
+	}
+	if err := w.Flush(); err != nil {
+		return err
 	}
 	if err := c.WriteBody(repl.MsgSnapEnd, &repl.SnapEnd{TS: g.ts}); err != nil {
 		return err
 	}
 	return c.Flush()
-}
-
-// encodeSnapTable serialises one table's snapshot body: slot, name,
-// row count, column count, then per column the data and
-// write-timestamp words, then the birth and death arrays, then the
-// dictionary — the checkpoint section layout flattened into one frame.
-// Capture-before-write and the min-captured-rows rule mirror
-// Checkpoint: rows born above the captured capacity carry commit
-// timestamps past the snapshot's and replay from the live stream.
-func encodeSnapTable(g *generation, t *table) ([]byte, error) {
-	snaps := make([]*colSnap, len(t.cols))
-	for i, c := range t.cols {
-		cs, err := g.colSnap(c)
-		if err != nil {
-			return nil, err
-		}
-		snaps[i] = cs
-	}
-	vs, err := g.visSnap(t)
-	if err != nil {
-		return nil, err
-	}
-	rows := vs.rows()
-	for _, cs := range snaps {
-		if cs.rows() < rows {
-			rows = cs.rows()
-		}
-	}
-	name := t.st.Schema().Table
-	var buf bytes.Buffer
-	var hdr [8]byte
-	wu64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(hdr[:], v)
-		buf.Write(hdr[:])
-	}
-	wu64(uint64(t.idx))
-	wu64(uint64(len(name)))
-	buf.WriteString(name)
-	wu64(uint64(rows))
-	wu64(uint64(len(t.cols)))
-	for _, cs := range snaps {
-		if err := storage.WriteWords(&buf, rows, cs.data.GetU); err != nil {
-			return nil, err
-		}
-		if err := storage.WriteWords(&buf, rows, cs.wts.GetU); err != nil {
-			return nil, err
-		}
-	}
-	if err := storage.WriteWords(&buf, rows, vs.data.GetU); err != nil {
-		return nil, err
-	}
-	if err := storage.WriteWords(&buf, rows, vs.wts.GetU); err != nil {
-		return nil, err
-	}
-	// Dictionary last, after every capture: append-only, so it covers
-	// every code the captured words can hold.
-	strs := t.st.Dict().Strings()
-	wu64(uint64(len(strs)))
-	for _, s := range strs {
-		wu64(uint64(len(s)))
-		buf.WriteString(s)
-	}
-	return buf.Bytes(), nil
-}
-
-// applySnapTable loads one snapshot table body into the replica's
-// recreated (or recovered) table, slot-addressed and validated against
-// the schema exactly like checkpoint sections. Fast-forward semantics:
-// the snapshot is the primary's state at its timestamp, which is at or
-// above anything the replica holds, so overwriting in place is always
-// a step forward. noteTS folds every loaded stamp into the oracle
-// seed.
-func (db *DB) applySnapTable(body []byte, noteTS func(uint64)) error {
-	r := bytes.NewReader(body)
-	var hdr [8]byte
-	ru64 := func() (uint64, error) {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(hdr[:]), nil
-	}
-	slot64, err := ru64()
-	if err != nil {
-		return err
-	}
-	nameLen, err := ru64()
-	if err != nil {
-		return err
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return err
-	}
-	rows64, err := ru64()
-	if err != nil {
-		return err
-	}
-	cols64, err := ru64()
-	if err != nil {
-		return err
-	}
-	slot, rows, cols := int(slot64), int(rows64), int(cols64)
-	name := string(nameBuf)
-	db.mu.RLock()
-	nTabs := len(db.tabList)
-	db.mu.RUnlock()
-	if slot < 0 || slot >= nTabs {
-		return fmt.Errorf("ankerdb: snapshot table %q claims slot %d of %d", name, slot, nTabs)
-	}
-	t := db.tableByIdx(slot)
-	if got := t.st.Schema().Table; got != name {
-		return fmt.Errorf("ankerdb: snapshot table %q at slot %d, schema says %q", name, slot, got)
-	}
-	if len(t.cols) != cols {
-		return fmt.Errorf("ankerdb: snapshot table %q has %d columns, schema says %d", name, cols, len(t.cols))
-	}
-	if rows < 0 || rows > maxRecoveredRow {
-		return fmt.Errorf("ankerdb: snapshot table %q claims %d rows", name, rows)
-	}
-	if rows > 0 {
-		if err := db.growRecovered(t, rows-1); err != nil {
-			return err
-		}
-	}
-	// Exclude snapshot captures while the arrays are overwritten: a
-	// replica generation pinned mid-fill would capture a torn mix.
-	db.lockAllShards()
-	defer db.unlockAllShards()
-	for _, c := range t.cols {
-		if err := storage.ReadWordsRegion(r, rows, c.data.FillWindow); err != nil {
-			return err
-		}
-		if err := storage.ReadWordsRegion(r, rows, func(start int, words []uint64) {
-			for _, v := range words {
-				noteTS(v)
-			}
-			c.wts.FillWindow(start, words)
-		}); err != nil {
-			return err
-		}
-	}
-	birth, death := t.st.Birth(), t.st.Death()
-	if err := storage.ReadWordsRegion(r, rows, func(start int, words []uint64) {
-		for _, v := range words {
-			if v != storage.NeverTS {
-				noteTS(v)
-			}
-			birth.FillWindow(start, words)
-		}
-	}); err != nil {
-		return err
-	}
-	if err := storage.ReadWordsRegion(r, rows, func(start int, words []uint64) {
-		for _, v := range words {
-			noteTS(v)
-		}
-		death.FillWindow(start, words)
-	}); err != nil {
-		return err
-	}
-	nStrs, err := ru64()
-	if err != nil {
-		return err
-	}
-	dict := make([]string, nStrs)
-	for i := range dict {
-		sl, err := ru64()
-		if err != nil {
-			return err
-		}
-		sb := make([]byte, sl)
-		if _, err := io.ReadFull(r, sb); err != nil {
-			return err
-		}
-		dict[i] = string(sb)
-	}
-	t.st.Dict().Load(dict)
-	return nil
 }
 
 // replicaState is a replica's connector: the background goroutine that
@@ -401,9 +267,10 @@ type replicaState struct {
 
 	// schemaSeq is the next schema-log sequence to apply; lower-seq
 	// records (bootstrap/stream overlap, resume replays) are skipped.
-	// Touched only by the connector goroutine (and Open, before it
-	// starts).
+	// at is applyCommit's address scratch. Both are touched only by the
+	// connector goroutine (and Open, before it starts).
 	schemaSeq uint64
+	at        resolved
 }
 
 // stop halts the connector: closes the quit channel, cuts the current
@@ -445,76 +312,93 @@ func (r *replicaState) setConn(c *repl.Conn) {
 // handshake. afterTS = 0 requests a full bootstrap; a positive value
 // asks to resume above it (the primary may still answer with a
 // bootstrap when its retained history no longer reaches back).
-func (r *replicaState) dial(afterTS uint64) (*repl.Conn, repl.Welcome, error) {
+func (r *replicaState) dial(afterTS uint64) (c *repl.Conn, w repl.Welcome, err error) {
 	nc, err := net.DialTimeout("tcp", r.addr, 5*time.Second)
 	if err != nil {
-		return nil, repl.Welcome{}, err
+		return nil, w, err
 	}
-	c := repl.NewConn(nc)
+	c = repl.NewConn(nc)
+	defer func() {
+		if err != nil {
+			_ = c.Close()
+			c = nil
+		}
+	}()
 	// The handshake is a bounded exchange: deadline it so a primary that
 	// accepts and stalls errors out instead of hanging the caller (Open,
 	// on the initial bootstrap). Cleared on success — the live stream
 	// blocks on reads indefinitely by design.
 	_ = c.SetDeadline(time.Now().Add(dialHandshakeTimeout))
-	if err := c.SendBody(repl.MsgHello, &repl.Hello{Version: repl.ProtoVersion, Role: repl.RoleReplica, Namespace: r.ns, AfterTS: afterTS}); err != nil {
-		_ = c.Close()
-		return nil, repl.Welcome{}, err
+	if err = c.SendBody(repl.MsgHello, &repl.Hello{Version: repl.ProtoVersion, Role: repl.RoleReplica, Namespace: r.ns, AfterTS: afterTS}); err != nil {
+		return c, w, err
 	}
 	typ, payload, err := c.ReadMsg()
+	switch {
+	case err != nil:
+	case typ == repl.MsgErr:
+		err = wireErr("primary refused replica", payload)
+	case typ != repl.MsgWelcome:
+		err = fmt.Errorf("ankerdb: unexpected handshake frame type %d", typ)
+	default:
+		err = repl.Decode(payload, &w)
+	}
 	if err != nil {
-		_ = c.Close()
-		return nil, repl.Welcome{}, err
+		return c, w, err
 	}
 	_ = c.SetDeadline(time.Time{})
-	switch typ {
-	case repl.MsgWelcome:
-		var w repl.Welcome
-		if err := repl.Decode(payload, &w); err != nil {
-			_ = c.Close()
-			return nil, repl.Welcome{}, err
-		}
-		// The welcome carries the primary's completed watermark: seed
-		// the staleness report now instead of waiting for the first
-		// heartbeat, so ReplicaSourceTS is meaningful from the instant
-		// the connection is live.
-		if w.TS > r.sourceW.Load() {
-			r.sourceW.Store(w.TS)
-		}
-		return c, w, nil
-	case repl.MsgErr:
-		var we repl.WireErr
-		_ = repl.Decode(payload, &we)
-		_ = c.Close()
-		return nil, repl.Welcome{}, fmt.Errorf("ankerdb: primary refused replica: %s", we.Msg)
-	default:
-		_ = c.Close()
-		return nil, repl.Welcome{}, fmt.Errorf("ankerdb: unexpected handshake frame type %d", typ)
+	// The welcome carries the primary's completed watermark: seed the
+	// staleness report now instead of waiting for the first heartbeat, so
+	// ReplicaSourceTS is meaningful from the instant the connection is
+	// live.
+	if w.TS > r.sourceW.Load() {
+		r.sourceW.Store(w.TS)
 	}
+	return c, w, nil
+}
+
+// wireErr is the error a MsgErr frame from the primary ends an exchange
+// with.
+func wireErr(what string, payload []byte) error {
+	var we repl.WireErr
+	_ = repl.Decode(payload, &we)
+	return fmt.Errorf("ankerdb: %s: %s", what, we.Msg)
 }
 
 // runBootstrap consumes a snapshot bootstrap (schema frames, SnapBegin,
-// table bodies, SnapEnd) and finishes it: rebuild the row allocators,
-// zone maps and secondary indexes from the loaded arrays, and observe
-// the snapshot timestamp. The caller holds db.olapGate write-side (the
-// rebuild fast-forwards arrays in place under pinned OLAP readers
-// otherwise) and, on a durable replica, checkpoints AFTER the gate is
-// released — the snapshot's data is not in the replica's own WAL, and
-// Checkpoint itself pins a generation under the gate's read side.
-// Frame reads are individually deadlined so a primary that accepts and
-// stalls fails the bootstrap instead of hanging the caller.
+// the table sections in chunk frames, SnapEnd) and finishes it: rebuild
+// the row allocators, zone maps and secondary indexes from the loaded
+// arrays, and observe the snapshot timestamp. It holds db.olapGate
+// write-side throughout: the sections overwrite arrays without pushing
+// displaced values into version chains and the rebuild resets the
+// visibility logs, so every pinned generation must drain first and new
+// pins (OLAP begins, and the auto-checkpointer's even during Open)
+// block until the state is consistent again — and are refused after it
+// (DB.halfBootstrapped) when the stream dies between the first section
+// byte and the rebuild, until a later bootstrap completes. On a durable
+// replica the caller checkpoints AFTER it returns — the snapshot's data
+// is not in the replica's own WAL, and Checkpoint itself pins a
+// generation under the gate's read side. Frame reads are individually
+// deadlined so a primary that accepts and stalls fails the bootstrap
+// instead of hanging the caller, and bounded by snapChunkLen so no
+// primary can ask a bootstrapping replica for an O(table) buffer.
 func (r *replicaState) runBootstrap(c *repl.Conn) error {
 	db := r.db
-	var maxWTS uint64
-	noteTS := func(v uint64) {
-		if v > maxWTS {
-			maxWTS = v
-		}
-	}
-	tables := -1
-	var snapTS uint64
-	for {
+	db.olapGate.Lock()
+	defer db.olapGate.Unlock()
+	c.SetReadLimit(snapChunkLen + 1)
+	// The live stream blocks on reads indefinitely by design and carries
+	// records of any legitimate size: lift both bounds before handing
+	// the connection over.
+	defer func() {
+		c.SetReadLimit(math.MaxUint32)
+		_ = c.SetReadDeadline(time.Time{})
+	}()
+	next := func() (repl.MsgType, []byte, error) {
 		_ = c.SetReadDeadline(time.Now().Add(bootstrapFrameTimeout))
-		typ, payload, err := c.ReadMsg()
+		return c.ReadMsg()
+	}
+	for {
+		typ, payload, err := next()
 		if err != nil {
 			return err
 		}
@@ -528,76 +412,61 @@ func (r *replicaState) runBootstrap(c *repl.Conn) error {
 			if err := repl.Decode(payload, &sb); err != nil {
 				return err
 			}
-			snapTS, tables = sb.TS, sb.Tables
-		case repl.MsgSnapTable:
-			if tables <= 0 {
-				return fmt.Errorf("ankerdb: snapshot table outside SnapBegin/SnapEnd")
+			// From here the sections overwrite rows in place, window by
+			// window and array by array: until the last one has landed the
+			// state is torn, and stays so if the stream dies first.
+			db.halfBootstrapped.Store(true)
+			seed := sb.TS // newest commit stamp the snapshot carries
+			noteTS := func(v uint64) { seed = max(seed, v) }
+			body := wal.NewCheckpointReader(&snapChunkReader{next: next})
+			for i := 0; i < sb.Tables; i++ {
+				// Every shard lock, per section: a Vacuum must not walk
+				// arrays the section is overwriting.
+				db.lockAllShards()
+				err := db.readTableSection(body, noteTS)
+				db.unlockAllShards()
+				if err != nil {
+					return err
+				}
 			}
-			if err := db.applySnapTable(payload, noteTS); err != nil {
+			var se repl.SnapEnd
+			if typ, payload, err = next(); err != nil {
 				return err
+			} else if typ != repl.MsgSnapEnd {
+				return fmt.Errorf("%w: frame type %d where the snapshot should end", repl.ErrBadFrame, typ)
+			} else if err := repl.Decode(payload, &se); err != nil {
+				return err
+			} else if se.TS != sb.TS {
+				return fmt.Errorf("%w: snapshot of %d ends as %d", repl.ErrBadFrame, sb.TS, se.TS)
 			}
-			tables--
-		case repl.MsgSnapEnd:
-			if tables != 0 {
-				return fmt.Errorf("ankerdb: snapshot ended with %d tables missing", tables)
-			}
-			seed := snapTS
-			if maxWTS > seed {
-				seed = maxWTS
-			}
-			db.finishBootstrap(seed)
+			// End as recovery ends — allocators, visibility-log bases,
+			// zones and index contents rebuilt over the loaded arrays —
+			// then publish the snapshot to this side's readers.
+			db.lockAllShards()
+			db.rebuildDerived()
+			db.unlockAllShards()
+			db.oracle.ObserveCommitted(seed)
+			// Retire the current snapshot generation: across a re-bootstrap
+			// the manager's own pin keeps it alive with its pre-bootstrap
+			// timestamp and column-snapshot cache, and a reader acquiring
+			// it afterwards would see fast-forwarded write timestamps above
+			// its ts with no version-chain entries to repair from. Forcing
+			// staleness makes the next acquire rotate to a generation born
+			// after the rebuild.
+			db.snaps.stale.Store(true)
+			db.halfBootstrapped.Store(false)
 			if seed > r.applied.Load() {
 				r.applied.Store(seed)
 			}
 			r.bootstraps.Add(1)
-			db.tel.rec.Record(telemetry.EvReplBootstrap, int64(snapTS), int64(seed), 0)
-			// The live stream blocks on reads indefinitely by design:
-			// clear the per-frame bootstrap deadline before handing the
-			// connection over.
-			_ = c.SetReadDeadline(time.Time{})
+			db.tel.rec.Record(telemetry.EvReplBootstrap, int64(sb.TS), int64(seed), 0)
 			return nil
 		case repl.MsgErr:
-			var we repl.WireErr
-			_ = repl.Decode(payload, &we)
-			return fmt.Errorf("ankerdb: primary aborted bootstrap: %s", we.Msg)
+			return wireErr("primary aborted bootstrap", payload)
 		default:
 			return fmt.Errorf("ankerdb: unexpected frame type %d during bootstrap", typ)
 		}
 	}
-}
-
-// finishBootstrap rebuilds the derived state recovery would rebuild —
-// row allocators, visibility-log bases, zone maps, index contents —
-// over the freshly loaded arrays, then publishes the snapshot
-// timestamp to the replica's oracle.
-func (db *DB) finishBootstrap(seed uint64) {
-	db.lockAllShards()
-	db.mu.RLock()
-	tabs := append([]*table(nil), db.tabList...)
-	db.mu.RUnlock()
-	db.rebuildRowStateTabs(tabs)
-	db.unlockAllShards()
-	db.recomputeZones(0)
-	db.lockAllShards()
-	for _, t := range tabs {
-		if t.dropped.Load() {
-			continue
-		}
-		for _, c := range t.cols {
-			if old := c.idx.Load(); old != nil {
-				c.idx.Store(buildColumnIndex(c, old.Kind(), 0))
-			}
-		}
-	}
-	db.unlockAllShards()
-	db.oracle.ObserveCommitted(seed)
-	// Retire the current snapshot generation: across a re-bootstrap the
-	// manager's own pin keeps it alive with its pre-bootstrap timestamp
-	// and column-snapshot cache, and a reader acquiring it afterwards
-	// would see fast-forwarded write timestamps above its ts with no
-	// version-chain entries to repair from. Forcing staleness makes the
-	// next acquire rotate to a generation born after the rebuild.
-	db.snaps.stale.Store(true)
 }
 
 // applySchema applies one sequence-stamped schema frame: skip if the
@@ -628,11 +497,7 @@ func (r *replicaState) applySchema(frame []byte) error {
 	}
 	switch {
 	case rec.Table != nil:
-		schema := Schema{Table: rec.Table.Name}
-		for _, cd := range rec.Table.Columns {
-			schema.Columns = append(schema.Columns, ColumnDef{Name: cd.Name, Type: ColumnType(cd.Type), Index: IndexKind(cd.Index)})
-		}
-		if err := db.createTable(schema, rec.Table.Rows, false); err != nil {
+		if err := db.createTable(tableSchema(*rec.Table), rec.Table.Rows, false); err != nil {
 			return err
 		}
 	case rec.Index != nil:
@@ -654,27 +519,6 @@ func (r *replicaState) applySchema(frame []byte) error {
 	return nil
 }
 
-// applyIndexDDL mirrors an online CreateIndex/DropIndex at the
-// replica. Tolerant of records that do not resolve (dropped tables):
-// skipped like recovery skips them.
-func (db *DB) applyIndexDDL(rec wal.IndexDDLRecord) {
-	c, err := db.lookup(rec.Table, rec.Column)
-	if err != nil {
-		return
-	}
-	if rec.Drop {
-		c.idx.Store(nil)
-		return
-	}
-	kind := IndexKind(rec.Kind)
-	if !kind.Valid() {
-		return
-	}
-	db.lockAllShards()
-	c.idx.Store(buildColumnIndex(c, kind, db.oracle.Completed()))
-	db.unlockAllShards()
-}
-
 // applyTableDDL mirrors a DropTable/Truncate marker at the replica, at
 // the RECORD's timestamp — the stamp that decides exactly which
 // applied rows the barrier covers, same as recovery replay. The stream
@@ -688,310 +532,101 @@ func (db *DB) applyTableDDL(rec wal.TableDDLRecord) {
 	if t == nil {
 		return
 	}
-	ts := rec.TS
 	db.lockAllShards()
-	t.ddlEpoch.Add(1)
+	defer db.unlockAllShards()
 	switch rec.Op {
 	case wal.TableDDLDrop:
-		t.dropTS = ts
-		t.dropped.Store(true)
+		db.dropAt(t, rec.TS)
 		db.mu.Lock()
 		delete(db.tables, rec.Name)
 		db.mu.Unlock()
-		if db.gcFloor() > ts {
-			db.freeDropped(t)
-		}
 	case wal.TableDDLTruncate:
-		t.visMutated.Store(true)
-		t.truncated = true
-		truncateRows(t, ts)
-		t.amu.Lock()
-		t.next, t.free = 0, nil
-		t.amu.Unlock()
-		t.visLogReset(-int64(t.st.InitialRows()))
-		floor := db.gcFloor()
-		for _, c := range t.cols {
-			if ix := c.idx.Load(); ix != nil {
-				c.idx.Store(index.New(ix.Kind(), ts))
-			}
-			c.recomputeZones(floor)
-		}
+		db.truncateAt(t, rec.TS)
 	}
-	db.unlockAllShards()
-	db.tel.rec.RecordNote(telemetry.EvTableDDL, int64(rec.Op), 0, int64(ts), rec.Name)
 }
 
 // applyCommit replays one streamed commit record into live replica
-// state: the install() critical section reproduced under the involved
-// shard commit locks, with recovery's idempotence guards — newer-wins
-// per written cell, birth/death floor per row op — so duplicated
-// records (bootstrap overlap, resume replays) are no-ops. Returns
-// whether anything applied (a fully skipped duplicate is not
-// re-appended to the replica's own WAL).
-func (db *DB) applyCommit(rec wal.CommitRecord) (bool, error) {
-	db.mu.RLock()
-	nTabs := len(db.tabList)
-	cols := make([]*column, len(rec.Writes))
-	for i, w := range rec.Writes {
-		if w.Table < 0 || w.Table >= nTabs {
-			db.mu.RUnlock()
-			return false, nil // beyond the applied schema prefix: skip whole
-		}
-		t := db.tabList[w.Table]
-		if w.Col < 0 || w.Col >= len(t.cols) || w.Row < 0 || w.Row >= maxRecoveredRow {
-			db.mu.RUnlock()
-			return false, nil
-		}
-		cols[i] = t.cols[w.Col]
+// state: the primary's install() critical section — the same kernels,
+// under the involved shard commit locks — behind recovery's
+// idempotence guards, newer-wins per written cell and visFloor per row
+// op, so duplicated records (bootstrap overlap, resume replays) are
+// no-ops. Returns whether anything applied (a fully skipped duplicate
+// is not re-appended to the replica's own WAL).
+func (r *replicaState) applyCommit(rec wal.CommitRecord) (bool, error) {
+	db, at := r.db, &r.at
+	if ok, err := db.resolve(&rec, at); !ok {
+		return false, err
 	}
-	type opTab struct {
-		t  *table
-		op wal.RowOp
-	}
-	ops := make([]opTab, len(rec.Ops))
-	for i, op := range rec.Ops {
-		if op.Table < 0 || op.Table >= nTabs || op.Row < 0 || op.Row >= maxRecoveredRow {
-			db.mu.RUnlock()
-			return false, nil
-		}
-		ops[i] = opTab{t: db.tabList[op.Table], op: op}
-	}
-	db.mu.RUnlock()
-
-	// Grow before taking shard locks (growth takes only the allocator
-	// mutex and the storage layer's own locks).
-	for i, w := range rec.Writes {
-		if err := db.growRecovered(cols[i].tab, w.Row); err != nil {
-			return false, err
-		}
-	}
-	for _, o := range ops {
-		if err := db.growRecovered(o.t, o.op.Row); err != nil {
-			return false, err
-		}
-	}
-
 	// The involved shard locks, ascending — the same exclusion the
 	// primary's installer holds against snapshot capture.
 	marks := make([]bool, len(db.shards))
-	for i := range rec.Writes {
-		marks[db.shardOf(cols[i].id)] = true
+	for _, c := range at.cols {
+		marks[db.shardOf(c.id)] = true
 	}
-	for _, o := range ops {
-		marks[db.shardOf(mvcc.VisColumnID(o.op.Table))] = true
+	for _, op := range rec.Ops {
+		marks[db.shardOf(mvcc.VisColumnID(op.Table))] = true
 	}
-	var locked []int
 	for id, m := range marks {
 		if m {
 			db.shards[id].mu.Lock()
-			locked = append(locked, id)
 		}
 	}
-	defer func() {
-		for i := len(locked) - 1; i >= 0; i-- {
-			db.shards[locked[i]].mu.Unlock()
-		}
-	}()
 
-	// Rows this record itself births skip the version-chain push,
-	// exactly like install(): the displaced word belongs to a reclaimed
-	// or never-born incarnation no reader can reach.
-	inserted := func(tab, row int) bool {
-		for _, o := range ops {
-			if !o.op.Del && o.op.Table == tab && o.op.Row == row {
+	births := func(tab, row int) bool {
+		for _, op := range rec.Ops {
+			if !op.Del && op.Table == tab && op.Row == row {
 				return true
 			}
 		}
 		return false
 	}
 	applied := false
-	ts := rec.TS
 	for i, w := range rec.Writes {
-		c := cols[i]
-		if ts <= c.wts.GetU(w.Row) {
-			continue // a newer (or this very) write already owns the cell
+		// At or below the cell's stamp, a newer (or this very) write
+		// already owns it.
+		if c := at.cols[i]; rec.TS > c.wts.GetU(w.Row) {
+			c.installCell(w.Row, c.redoValue(w), rec.TS, births(w.Table, w.Row))
+			applied = true
 		}
-		val := w.Val
-		if w.HasStr {
-			val = c.dict.Encode(w.Str)
-		}
-		if inserted(w.Table, w.Row) {
-			c.wts.SetU(w.Row, ts)
-			c.data.Set(w.Row, val)
-			c.widen(w.Row, val)
-			if ix := c.idx.Load(); ix != nil {
-				ix.Add(val, w.Row, ts)
-			}
-		} else {
-			old := c.data.Get(w.Row)
-			oldWTS := c.wts.GetU(w.Row)
-			c.chain.Push(w.Row, old, oldWTS)
-			c.noteVersioned(w.Row)
-			c.wts.SetU(w.Row, ts)
-			c.data.Set(w.Row, val)
-			c.widen(w.Row, val)
-			if ix := c.idx.Load(); ix != nil && old != val {
-				ix.Kill(old, w.Row, ts)
-				ix.Add(val, w.Row, ts)
-			}
-		}
-		applied = true
 	}
-	// Row ops after all writes, death reset before birth, birth last —
-	// the lock-free reader ordering install() documents.
-	var visDeltas []struct {
-		t *table
-		d int64
-	}
-	for _, o := range ops {
-		t, op := o.t, o.op
-		birth, death := t.st.Birth(), t.st.Death()
-		floor := death.GetU(op.Row)
-		if b := birth.GetU(op.Row); b != storage.NeverTS && b > floor {
-			floor = b
-		}
-		if ts <= floor {
+	var deltas tableDeltas
+	for i, op := range rec.Ops {
+		t := at.tabs[i]
+		if rec.TS <= t.visFloor(op.Row) {
 			continue // duplicate: the applied state already covers it
 		}
-		t.visMutated.Store(true)
-		if op.Del {
-			for _, c := range t.cols {
-				if ix := c.idx.Load(); ix != nil {
-					ix.Kill(c.data.Get(op.Row), op.Row, ts)
-				}
-			}
-			death.SetU(op.Row, ts)
-			db.st.rowDeletes.Add(1)
-		} else {
-			death.SetU(op.Row, 0)
-			birth.SetU(op.Row, ts)
-			db.st.rowInserts.Add(1)
+		db.installRowOp(t, op.Row, op.Del, rec.TS, &deltas)
+		if !op.Del {
+			// The primary's allocator reserved the slot; mirror its mark.
 			t.amu.Lock()
-			if op.Row >= t.next {
-				t.next = op.Row + 1
-			}
+			t.next = max(t.next, op.Row+1)
 			t.amu.Unlock()
 		}
 		applied = true
-		d := int64(1)
-		if op.Del {
-			d = -1
-		}
-		merged := false
-		for i := range visDeltas {
-			if visDeltas[i].t == t {
-				visDeltas[i].d += d
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			visDeltas = append(visDeltas, struct {
-				t *table
-				d int64
-			}{t, d})
-		}
 	}
-	for _, e := range visDeltas {
-		if e.d != 0 {
-			e.t.visLogAppend(ts, e.d)
+	deltas.flush(rec.TS)
+	for id := len(marks) - 1; id >= 0; id-- {
+		if marks[id] {
+			db.shards[id].mu.Unlock()
 		}
 	}
 	return applied, nil
 }
 
-// applyLoad replays one streamed bulk-load chunk: values land only on
-// rows no commit has stamped (write timestamp zero), under the
-// column's shard lock, zones widened (never replaced — live readers)
-// and the column's index rebuilt like the primary's post-load reindex.
+// applyLoad replays one streamed bulk-load chunk under the column's
+// shard lock, then rebuilds the column's index like the primary's
+// post-load reindex.
 func (db *DB) applyLoad(rec wal.LoadRecord) bool {
-	db.mu.RLock()
-	var c *column
-	if rec.Table >= 0 && rec.Table < len(db.tabList) {
-		t := db.tabList[rec.Table]
-		if rec.Col >= 0 && rec.Col < len(t.cols) {
-			c = t.cols[rec.Col]
-		}
-	}
-	db.mu.RUnlock()
-	if c == nil {
-		return false
-	}
-	n := len(rec.Vals)
-	if rec.HasStrs {
-		n = len(rec.Strs)
-	}
-	if rec.Start < 0 || n > c.data.Rows()-rec.Start || rec.HasStrs != (c.def.Type == Varchar) {
+	c, ok := db.resolveLoad(rec)
+	if !ok {
 		return false
 	}
 	s := db.shards[db.shardOf(c.id)]
 	s.mu.Lock()
-	if rec.HasStrs {
-		for i, str := range rec.Strs {
-			if row := rec.Start + i; c.wts.GetU(row) == 0 {
-				v := c.dict.Encode(str)
-				c.data.Set(row, v)
-				c.widen(row, v)
-			}
-		}
-	} else {
-		for i, v := range rec.Vals {
-			if row := rec.Start + i; c.wts.GetU(row) == 0 {
-				c.data.Set(row, v)
-				c.widen(row, v)
-			}
-		}
-	}
+	c.applyLoadChunk(rec)
 	s.mu.Unlock()
-	if c.idx.Load() != nil {
-		db.reindexColumn(c)
-	}
+	db.reindexColumn(c)
 	return true
-}
-
-// rebuildRowStateTabs is rebuildRowState over an explicit table list —
-// the bootstrap path's variant (recovery's walks db.tabList directly,
-// which is safe only single-threaded).
-func (db *DB) rebuildRowStateTabs(tabs []*table) {
-	for _, t := range tabs {
-		if t.dropped.Load() {
-			continue
-		}
-		birth, death := t.st.Birth(), t.st.Death()
-		next := t.st.InitialRows()
-		var free []int
-		var live int64
-		mutated := t.truncated
-		for row, capacity := 0, t.st.Capacity(); row < capacity; row++ {
-			b, d := birth.GetU(row), death.GetU(row)
-			switch {
-			case b != storage.NeverTS:
-				if row >= next {
-					next = row + 1
-				}
-				if d == 0 {
-					live++
-				}
-				if b != 0 || d != 0 {
-					mutated = true
-				}
-			case d != 0:
-				free = append(free, row)
-				if row >= next {
-					next = row + 1
-				}
-				mutated = true
-			}
-		}
-		t.amu.Lock()
-		t.next, t.free = next, free
-		t.amu.Unlock()
-		if next > t.st.InitialRows() {
-			mutated = true
-		}
-		t.visMutated.Store(mutated)
-		t.visLogReset(live - int64(t.st.InitialRows()))
-	}
 }
 
 // run is the connector's stream-and-reconnect loop: apply frames until
@@ -1019,7 +654,11 @@ func (r *replicaState) run(c *repl.Conn) {
 				return
 			case <-time.After(backoff):
 			}
-			nc, welcome, derr := r.dial(db.oracle.Completed())
+			after := db.oracle.Completed()
+			if db.halfBootstrapped.Load() {
+				after = 0 // only a whole snapshot repairs a torn one
+			}
+			nc, welcome, derr := r.dial(after)
 			if derr != nil {
 				if backoff *= 2; backoff > time.Second {
 					backoff = time.Second
@@ -1029,17 +668,9 @@ func (r *replicaState) run(c *repl.Conn) {
 			r.reconnects.Add(1)
 			if welcome.Snapshot {
 				// History no longer reaches back: re-bootstrap in place
-				// (fast-forward; see applySnapTable). Write side of the
-				// OLAP gate: the rebuild overwrites arrays without pushing
-				// displaced values into version chains and resets the
-				// visibility logs, so every pinned generation must drain
-				// first and new OLAP begins block until the state is
-				// consistent again.
+				// (fast-forward; see readTableSection).
 				r.setConn(nc)
-				db.olapGate.Lock()
-				berr := r.runBootstrap(nc)
-				db.olapGate.Unlock()
-				if berr != nil {
+				if berr := r.runBootstrap(nc); berr != nil {
 					_ = nc.Close()
 					r.setConn(nil)
 					if r.stopping() {
@@ -1075,7 +706,7 @@ func (r *replicaState) stream(c *repl.Conn) error {
 			if err != nil {
 				return err
 			}
-			applied, err := db.applyCommit(rec)
+			applied, err := r.applyCommit(rec)
 			if err != nil {
 				return err
 			}
@@ -1124,9 +755,7 @@ func (r *replicaState) stream(c *repl.Conn) error {
 				return err
 			}
 		case repl.MsgErr:
-			var we repl.WireErr
-			_ = repl.Decode(payload, &we)
-			return fmt.Errorf("ankerdb: primary closed stream: %s", we.Msg)
+			return wireErr("primary closed stream", payload)
 		default:
 			return fmt.Errorf("ankerdb: unexpected stream frame type %d", typ)
 		}
@@ -1139,11 +768,12 @@ func (r *replicaState) stream(c *repl.Conn) error {
 // completed watermark over surviving replicas); a replica whose
 // applied watermark has not reached it refuses with ErrStalePromotion
 // and KEEPS REPLICATING, so the caller can promote the replica that is
-// ahead instead. On success the connector stops, the oracle is
-// re-seeded above every applied timestamp, the row allocators are
-// recomputed from the applied arrays (free-list entries consumed by
-// streamed inserts must not be handed out again), and local writes are
-// accepted. Clients re-resolve to the promoted address themselves —
+// ahead instead; so does one whose in-place re-bootstrap died half-way
+// and left torn rows (DB.halfBootstrapped). On success the connector
+// stops, the oracle is re-seeded above every applied timestamp, the row
+// allocators are recomputed from the applied arrays (free-list entries
+// consumed by streamed inserts must not be handed out again), and local
+// writes are accepted. Clients re-resolve to the promoted address themselves —
 // the engine does not own service discovery.
 func (db *DB) Promote(requireTS uint64) error {
 	r := db.rep
@@ -1153,7 +783,16 @@ func (db *DB) Promote(requireTS uint64) error {
 	if w := db.oracle.Completed(); w < requireTS {
 		return fmt.Errorf("%w: applied watermark %d behind required %d", ErrStalePromotion, w, requireTS)
 	}
+	torn := fmt.Errorf("%w: %v", ErrStalePromotion, errHalfBootstrapped)
+	if db.halfBootstrapped.Load() {
+		return torn
+	}
 	r.stop()
+	if db.halfBootstrapped.Load() {
+		// stop cut a re-bootstrap in flight, and nothing replicates any
+		// more: only reopening the replica gets it a whole snapshot.
+		return torn
+	}
 	db.lockAllShards()
 	// Applied-beyond-watermark records can sit above Completed(): seed
 	// above ALL of them so freshly issued timestamps never collide.
@@ -1162,46 +801,15 @@ func (db *DB) Promote(requireTS uint64) error {
 		seed = c
 	}
 	db.oracle.Seed(seed)
-	db.promoteRowState()
+	// Allocator only: pinned OLAP readers still depend on the
+	// visibility logs rebuildDerived would collapse.
+	for _, t := range db.liveTables() {
+		t.rebuildAllocator()
+	}
 	db.unlockAllShards()
 	db.promoted.Store(true)
 	db.tel.rec.Record(telemetry.EvReplPromote, int64(seed), int64(requireTS), 0)
 	return nil
-}
-
-// promoteRowState recomputes every table's row allocator from the
-// applied visibility arrays — rebuildRowState minus the visibility-log
-// reset, which pinned OLAP readers still depend on. The caller holds
-// every shard commit lock.
-func (db *DB) promoteRowState() {
-	db.mu.RLock()
-	tabs := append([]*table(nil), db.tabList...)
-	db.mu.RUnlock()
-	for _, t := range tabs {
-		if t.dropped.Load() {
-			continue
-		}
-		birth, death := t.st.Birth(), t.st.Death()
-		next := t.st.InitialRows()
-		var free []int
-		for row, capacity := 0, t.st.Capacity(); row < capacity; row++ {
-			b, d := birth.GetU(row), death.GetU(row)
-			switch {
-			case b != storage.NeverTS:
-				if row >= next {
-					next = row + 1
-				}
-			case d != 0:
-				free = append(free, row)
-				if row >= next {
-					next = row + 1
-				}
-			}
-		}
-		t.amu.Lock()
-		t.next, t.free = next, free
-		t.amu.Unlock()
-	}
 }
 
 // replicaWriteGuard rejects local mutation on an unpromoted replica.
@@ -1241,36 +849,23 @@ func (db *DB) initReplication(cfg *config) error {
 		// not recoverable across a restart (see the package comment), and
 		// the snapshot fast-forwards recovered state.
 		c, welcome, err := r.dial(0)
+		if err == nil && welcome.Snapshot {
+			// The snapshot bytes never touch the replica's own WAL:
+			// checkpoint so a restart recovers them instead of
+			// re-bootstrapping. Fatal at Open, unlike on reconnect — the
+			// caller asked for a durable replica it does not have.
+			if err = r.runBootstrap(c); err == nil && db.wal != nil {
+				err = db.Checkpoint()
+			}
+			if err != nil {
+				_ = c.Close()
+			}
+		}
 		if err != nil {
 			close(r.done)
 			return err
 		}
 		r.setConn(c)
-		if welcome.Snapshot {
-			// The DB is not shared yet, but the auto-checkpointer may
-			// already be running (Open starts it before replication):
-			// hold the OLAP gate so its generation pin cannot span the
-			// in-place fill.
-			db.olapGate.Lock()
-			err := r.runBootstrap(c)
-			db.olapGate.Unlock()
-			if err != nil {
-				_ = c.Close()
-				close(r.done)
-				return err
-			}
-			if db.wal != nil {
-				// The snapshot bytes never touched the replica's own WAL:
-				// checkpoint now so a restart recovers them instead of
-				// re-bootstrapping. Fatal at Open, unlike on reconnect —
-				// the caller asked for a durable replica it does not have.
-				if err := db.Checkpoint(); err != nil {
-					_ = c.Close()
-					close(r.done)
-					return err
-				}
-			}
-		}
 		// The connection is live before the apply loop starts: report
 		// it so Stats read between Open returning and run's first
 		// iteration do not claim a disconnected replica.

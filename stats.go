@@ -329,13 +329,7 @@ func (db *DB) Stats() Stats {
 	}
 	m.mu.Unlock()
 
-	db.mu.RLock()
-	tabs := append([]*table(nil), db.tabList...)
-	db.mu.RUnlock()
-	for _, t := range tabs {
-		if t.dropped.Load() {
-			continue
-		}
+	for _, t := range db.liveTables() {
 		for _, c := range t.cols {
 			s.VersionNodes += c.chain.Nodes()
 			if ix := c.idx.Load(); ix != nil {
