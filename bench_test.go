@@ -1,10 +1,10 @@
 package ankerdb_test
 
 // Go benchmarks over the public facade. CI runs these with
-// -benchtime 1x as a smoke layer and archives the output next to the
-// ankerbench JSON artifact; locally they are the quickest way to see
-// the effect of commit sharding (compare the shards=1 and
-// shards=GOMAXPROCS variants of the parallel benchmarks).
+// -benchtime 1x as a smoke layer; locally they are the quickest way to
+// see the effect of commit sharding (compare the shards=1 and
+// shards=GOMAXPROCS variants of the parallel benchmarks). The counts
+// these transactions must not exceed are gated in gate_test.go.
 
 import (
 	"fmt"
@@ -21,7 +21,7 @@ const (
 	benchCols = 8
 )
 
-func openBenchDB(b *testing.B, shards int, opts ...ankerdb.Option) *ankerdb.DB {
+func openBenchDB(b testing.TB, shards int, opts ...ankerdb.Option) *ankerdb.DB {
 	b.Helper()
 	schema := ankerdb.Schema{Table: "bench"}
 	for c := 0; c < benchCols; c++ {

@@ -464,7 +464,7 @@ func Open(opts ...Option) (*DB, error) {
 	}
 	db.tel.rec = telemetry.NewRecorder(traceRingSize)
 	db.tel.slowThresh = cfg.slowQueryThreshold
-	db.snaps = newSnapManager(db, cfg.refreshEvery, cfg.maxAge)
+	db.snaps = newSnapManager(db, cfg.refreshEvery)
 	db.oracle.SetCompleteHook(db.onComplete)
 	if cfg.durDir != "" {
 		wlog, err := wal.OpenFS(cfg.durDir, len(db.shards), cfg.syncPolicy, cfg.fs)

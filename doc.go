@@ -49,8 +49,8 @@
 //     test-only WithFS option)
 //
 // Open-time options: WithSnapshotStrategy, WithCostModel,
-// WithPageSize, WithSnapshotRefresh, WithSnapshotMaxAge,
-// WithInitialSchema, WithCommitShards, WithGroupCommitMaxWait,
+// WithPageSize, WithSnapshotRefresh, WithInitialSchema,
+// WithCommitShards, WithGroupCommitMaxWait,
 // WithDurability, WithSyncPolicy, WithAutoCheckpoint,
 // WithAutoCheckpointInterval, WithSlowQueryThreshold,
 // WithMetricsServer, WithServeAddr, WithReplicaOf, WithNamespace,

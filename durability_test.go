@@ -423,6 +423,10 @@ func TestDurabilitySyncPolicies(t *testing.T) {
 			if got := getOne(t, db2, "v3", 9); got != 314 {
 				t.Fatalf("recovered v3[9] = %d, want 314", got)
 			}
+			// A recovered database checkpoints under every policy.
+			if err := db2.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint after recovery: %v", err)
+			}
 		})
 	}
 }

@@ -1,0 +1,172 @@
+package ankerdb_test
+
+// Count gates: the numbers a transaction produces that repeat exactly
+// on any host — heap allocations per transaction, WAL bytes per
+// commit record, blocks an index-routed query reads. Timing is the
+// benchmark's job (benchmark/, alternated parent/change pairs); these
+// are tier-1, so one more allocation on a hot path fails go test.
+//
+// The allocation bounds are the counts testing.AllocsPerRun reads at
+// 3e9ac5f under go1.24.0 (identical over five runs). AllocsPerRun pins
+// GOMAXPROCS to 1 and counts the whole process, server goroutines
+// included, so a bound covers every layer the transaction crosses; its
+// 1000 runs amortise a fresh database's one-off growth (at 100 the
+// commit reads 28). The race detector's instrumentation allocates on
+// its own, so the allocation gates skip under -race (raceEnabled,
+// race_test.go).
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"ankerdb"
+)
+
+// allocGate fails when fn allocates more than bound times per run.
+func allocGate(t *testing.T, bound float64, fn func()) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector allocates; allocation counts are gated without -race")
+	}
+	got := testing.AllocsPerRun(1000, fn)
+	if got > bound {
+		t.Fatalf("%v allocations per transaction, gate %v", got, bound)
+	}
+	t.Logf("%v allocations per transaction, gate %v", got, bound)
+}
+
+// write8 is BenchmarkCommit's transaction: eight writes into one
+// column at the rows next returns, committed.
+func write8(t *testing.T, db *ankerdb.DB, next func() int) {
+	t.Helper()
+	w, err := db.Begin(ankerdb.OLTP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 8; k++ {
+		if err := w.Set("bench", "c0", next(), int64(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCommitAllocGate(t *testing.T) {
+	for _, c := range []struct {
+		shards int
+		bound  float64
+	}{{1, 26}, {2, 27}} {
+		t.Run(fmt.Sprintf("shards=%d", c.shards), func(t *testing.T) {
+			db := openBenchDB(t, c.shards)
+			defer db.Close()
+			rnd := rand.New(rand.NewSource(1))
+			next := func() int { return rnd.Intn(benchRows) }
+			allocGate(t, c.bound, func() { write8(t, db, next) })
+		})
+	}
+}
+
+// TestOLAPSumAllocGate: BenchmarkOLAPScan's transaction (61 allocations
+// there, at GOMAXPROCS morsel workers; 48 here, at AllocsPerRun's one).
+func TestOLAPSumAllocGate(t *testing.T) {
+	db := openBenchDB(t, 1, ankerdb.WithSnapshotRefresh(16))
+	defer db.Close()
+	allocGate(t, 48, func() {
+		r, err := db.Begin(ankerdb.OLAP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Aggregate("bench", "c0", ankerdb.Sum); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestRemoteTxnAllocGate: BenchmarkRemoteTransfer's transaction — Begin,
+// 4 Gets, 4 Sets, Commit through Dial against a durable SyncNone
+// primary, over the same four cells every time — client and server
+// sides together, plus the loop's four column-name Sprintfs.
+func TestRemoteTxnAllocGate(t *testing.T) {
+	db := openBenchDB(t, 1, ankerdb.WithDurability(t.TempDir()),
+		ankerdb.WithSyncPolicy(ankerdb.SyncNone), ankerdb.WithServeAddr("127.0.0.1:0"))
+	defer db.Close()
+	s, err := ankerdb.Dial(db.ServeAddr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	allocGate(t, 112, func() {
+		tx, err := s.BeginTxn(ankerdb.OLTP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 4; k++ {
+			col, row := fmt.Sprintf("c%d", k), k
+			v, err := tx.Get("bench", col, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Set("bench", col, row, v+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestWALBytesPerTxn: a commit of 8 int64 writes to distinct rows logs
+// exactly one frame — 8-byte frame header, 13-byte record header (kind,
+// commit TS, write count), 21 bytes per write (table, column, row,
+// value, string flag).
+func TestWALBytesPerTxn(t *testing.T) {
+	const want = 8 + 13 + 8*21
+	db := openBenchDB(t, 1, ankerdb.WithDurability(t.TempDir()), ankerdb.WithSyncPolicy(ankerdb.SyncNone))
+	defer db.Close()
+	row := 0
+	next := func() int { row++; return row }
+	for i := 0; i < 16; i++ {
+		before := db.Stats().WALBytes
+		write8(t, db, next)
+		if got := db.Stats().WALBytes - before; got != want {
+			t.Fatalf("txn %d logged %d WAL bytes, want %d", i, got, want)
+		}
+	}
+}
+
+// TestIndexRoutedEqScansNoBlocks: a 0.1%-selective Eq on a hash-indexed
+// column reads its 64 matches through the index and no block, although
+// every block holds every value (so zone maps cannot prune) — the
+// routing ankerbench -bench index used to fail loudly on.
+func TestIndexRoutedEqScansNoBlocks(t *testing.T) {
+	const rows, values = 1 << 16, 1 << 10
+	db, err := ankerdb.Open(ankerdb.WithCostModel(ankerdb.ZeroCost),
+		ankerdb.WithInitialSchema(ankerdb.NewSchema("bench").Int64("v").Indexed(ankerdb.Hash).Build(), rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	cycle := make([]int64, rows)
+	for i := range cycle {
+		cycle[i] = int64(i % values)
+	}
+	if err := db.Load("bench", "v", cycle); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query("bench").Where(ankerdb.Eq("v", 7)).Select(ankerdb.RowID).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if !st.IndexRouted || st.BlocksScanned != 0 || st.RowsScanned != rows/values || res.Len() != rows/values {
+		t.Fatalf("routed=%v blocks=%d rows scanned=%d result=%d, want routed, 0 blocks, %d rows",
+			st.IndexRouted, st.BlocksScanned, st.RowsScanned, res.Len(), rows/values)
+	}
+}

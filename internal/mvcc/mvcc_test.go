@@ -303,9 +303,16 @@ func TestChainConcurrentReadersDuringPush(t *testing.T) {
 			c.Push(7, int64(i), uint64(i))
 		}
 	}()
+	// Val == WTS here, so a reader at 1000 racing pushes 1..999 sees the
+	// newest pushed version; it must never see one newer than 1000 nor
+	// move backwards.
+	var last int64
 	for j := 0; j < 2000; j++ {
-		if v, ok := c.VisibleAt(7, 1000); ok && v != 1000 {
-			t.Fatalf("reader at 1000 saw %d", v)
+		if v, ok := c.VisibleAt(7, 1000); ok {
+			if v > 1000 || v < last {
+				t.Fatalf("reader at 1000 saw %d after %d", v, last)
+			}
+			last = v
 		}
 	}
 	<-done

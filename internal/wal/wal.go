@@ -74,19 +74,6 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// ParseSyncPolicy parses the String form.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "groupOnly", "group":
-		return SyncGroup, nil
-	case "none":
-		return SyncNone, nil
-	}
-	return 0, fmt.Errorf("wal: unknown sync policy %q (want always, groupOnly or none)", s)
-}
-
 // Log is one durability directory: per-shard segment series, the
 // schema log, and the checkpoint lifecycle. Appends to different
 // shards proceed in parallel; appends to one shard serialise on that
@@ -200,7 +187,7 @@ type Log struct {
 	schemaMu sync.Mutex
 	schema   fault.File
 	// schemaSeq counts schema-log records: records already in the file
-	// at open (set by the ReplaySchema* full passes) plus records
+	// at open (set by the ReplaySchemaDDL full pass) plus records
 	// appended since. Guarded by schemaMu.
 	schemaSeq uint64
 
@@ -652,27 +639,12 @@ func (l *Log) replayFile(path string, withHeader bool, fn func(off int64, payloa
 	}
 }
 
-// ReplayTables streams every schema-log table record to fn in append
-// order (original table-index order), stopping at a torn tail.
-// Index-DDL records interleaved in the log are skipped; use
-// ReplaySchema to observe both kinds in order.
-func (l *Log) ReplayTables(fn func(TableRecord) error) error {
-	return l.ReplaySchema(fn, func(IndexDDLRecord) error { return nil })
-}
-
-// ReplaySchema streams every schema-log record in append order: table
-// records to onTable, index-DDL records to onIndex. Replaying both in
-// order yields the tables in original index order and the set of
-// secondary indexes alive when the log was last written.
-func (l *Log) ReplaySchema(onTable func(TableRecord) error, onIndex func(IndexDDLRecord) error) error {
-	return l.ReplaySchemaDDL(onTable, onIndex, func(TableDDLRecord) error { return nil })
-}
-
-// ReplaySchemaDDL is ReplaySchema with the third schema-log record
-// kind surfaced: table-DDL markers (DropTable/Truncate) stream to
-// onDDL, interleaved in append order with the other two kinds, so a
+// ReplaySchemaDDL streams every schema-log record in append order,
+// stopping at a torn tail: table records to onTable, index-DDL records
+// to onIndex and table-DDL markers (DropTable/Truncate) to onDDL, so a
 // replayer applying all three in sequence reconstructs exactly the
-// schema alive when the log was last written — each DDL exactly once.
+// schema alive when the log was last written — the tables in original
+// index order, the secondary indexes then alive, each DDL exactly once.
 func (l *Log) ReplaySchemaDDL(onTable func(TableRecord) error, onIndex func(IndexDDLRecord) error, onDDL func(TableDDLRecord) error) error {
 	path := filepath.Join(l.dir, "schema.log")
 	if _, err := l.fs.Stat(path); os.IsNotExist(err) {

@@ -40,7 +40,6 @@ type config struct {
 	cost         CostModel
 	pageSize     int
 	refreshEvery uint64
-	maxAge       time.Duration
 	schemas      []initialSchema
 	commitShards int // 0 = auto (GOMAXPROCS)
 	durDir       string
@@ -110,8 +109,8 @@ func WithPageSize(n int) Option {
 // WithSnapshotRefresh makes OLAP snapshots refresh after every n
 // commits: a new snapshot generation is started once n commits have
 // completed since the current generation's timestamp. n == 0 disables
-// commit-count-based refresh (generations rotate only by age, or
-// never). Default 1, the paper's high-frequency mode.
+// commit-count-based refresh. Default 1, the paper's high-frequency
+// mode.
 func WithSnapshotRefresh(n int) Option {
 	return func(c *config) {
 		if n < 0 {
@@ -119,14 +118,6 @@ func WithSnapshotRefresh(n int) Option {
 		}
 		c.refreshEvery = uint64(n)
 	}
-}
-
-// WithSnapshotMaxAge additionally bounds snapshot staleness by wall
-// time: an OLAP transaction beginning more than d after the current
-// generation was created starts a fresh generation. Zero (the default)
-// disables age-based refresh.
-func WithSnapshotMaxAge(d time.Duration) Option {
-	return func(c *config) { c.maxAge = d }
 }
 
 // WithCommitShards partitions the commit pipeline into n shards:
@@ -178,11 +169,6 @@ const (
 	// clean Close) can lose recent commits. The fastest policy.
 	SyncNone = wal.SyncNone
 )
-
-// ParseSyncPolicy parses "always", "groupOnly" or "none" — the
-// spellings SyncPolicy.String returns. Benchmarks and tools use it to
-// sweep policies by name.
-func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(s) }
 
 // WithDurability persists the database under dir: committed
 // transactions are redo-logged to a per-commit-shard write-ahead log

@@ -3,6 +3,7 @@ package ankerdb
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -472,21 +473,139 @@ func TestRemoteSessionAdmission(t *testing.T) {
 	}
 }
 
-// TestReplicationChained: a replica that also serves can feed a
-// second-tier replica (its own schema log being a byte-exact prefix of
-// the primary's makes the chain sound).
+// TestReplicationChained: two durable serving replicas of one primary
+// and a second-tier replica fed by one of them (its own schema log
+// being a byte-exact prefix of the primary's makes the chain sound)
+// follow a seeded insert/update/delete workload with a mid-stream index
+// build while a reader queries a replica. ReplicasMatchPrimary (the deleted
+// replication smoke binary's checks) then asserts every replica's scans — and a remote
+// session dialled to a serving replica — equal the primary's, and that
+// the primary reports both direct replicas and their lag acks.
 func TestReplicationChained(t *testing.T) {
-	p := openPrimary(t, WithInitialSchema(NewSchema("kv").Int64("v").Build(), 8))
-	mid := openReplicaOf(t, p.ServeAddr(),
-		WithDurability(t.TempDir()), WithSyncPolicy(SyncNone), WithServeAddr("127.0.0.1:0"))
+	const rows, txns = 64, 300
+	p := openPrimary(t, WithInitialSchema(NewSchema("kv").Int64("k").Int64("v").Varchar("tag").Build(), rows))
+	serving := func() *DB {
+		return openReplicaOf(t, p.ServeAddr(),
+			WithDurability(t.TempDir()), WithSyncPolicy(SyncNone), WithServeAddr("127.0.0.1:0"))
+	}
+	mid, side := serving(), serving()
 	leaf := openReplicaOf(t, mid.ServeAddr())
 
-	ts := commitWrite(t, p, "kv", "v", 3, 33)
-	waitReplicaTS(t, mid, ts)
-	waitReplicaTS(t, leaf, ts)
-	if got := olapGet(t, leaf, "kv", "v", 3); got != 33 {
-		t.Errorf("chained v[3] = %d, want 33", got)
+	stop, readErr := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				readErr <- nil
+				return
+			default:
+			}
+			tx, err := side.Begin(OLAP)
+			if err == nil {
+				_, err = tx.Aggregate("kv", "v", Sum)
+				_ = tx.Abort()
+			}
+			if err != nil {
+				readErr <- err
+				return
+			}
+		}
+	}()
+
+	rng := rand.New(rand.NewSource(1))
+	live := make([]int, rows)
+	for i := range live {
+		live[i] = i
 	}
+	for i := 0; i < txns; i++ {
+		if i == txns/2 {
+			if err := p.CreateIndex("kv", "v", Hash); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx, err := p.Begin(OLTP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch op := rng.Intn(10); {
+		case op < 5:
+			err = tx.Set("kv", "v", live[rng.Intn(len(live))], rng.Int63n(1<<20))
+		case op < 8:
+			var row int
+			row, err = tx.Insert("kv", map[string]any{"k": int64(rows + i), "v": rng.Int63n(1 << 20), "tag": fmt.Sprintf("t%d", i%97)})
+			live = append(live, row)
+		case len(live) > 16:
+			j := rng.Intn(len(live))
+			err = tx.Delete("kv", live[j])
+			live = append(live[:j], live[j+1:]...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+	}
+	ts := commitWrite(t, p, "kv", "v", live[0], 33)
+	close(stop)
+	if err := <-readErr; err != nil {
+		t.Fatalf("replica read during the stream: %v", err)
+	}
+	for _, r := range []*DB{mid, side, leaf} {
+		waitReplicaTS(t, r, ts)
+	}
+	if got := olapGet(t, leaf, "kv", "v", live[0]); got != 33 {
+		t.Errorf("chained v[%d] = %d, want 33", live[0], got)
+	}
+
+	t.Run("ReplicasMatchPrimary", func(t *testing.T) {
+		summary := func(tx SessionTxn) string {
+			t.Helper()
+			defer tx.Abort()
+			var out []int64
+			for _, q := range []struct {
+				col string
+				agg Agg
+			}{{"k", Count}, {"k", Sum}, {"v", Sum}} {
+				v, err := tx.Aggregate("kv", q.col, q.agg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, v)
+			}
+			return fmt.Sprint(out)
+		}
+		begin := func(s Session) SessionTxn {
+			t.Helper()
+			tx, err := s.BeginTxn(OLAP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tx
+		}
+		want := summary(begin(p))
+		for name, r := range map[string]*DB{"mid": mid, "side": side, "leaf": leaf} {
+			if got := summary(begin(r)); got != want {
+				t.Errorf("%s replica [rows sumK sumV] = %s, primary %s", name, got, want)
+			}
+		}
+		sess, err := Dial(mid.ServeAddr(), "")
+		if err != nil {
+			t.Fatalf("dial serving replica: %v", err)
+		}
+		defer sess.Close()
+		if got := summary(begin(sess)); got != want {
+			t.Errorf("remote session on a replica [rows sumK sumV] = %s, primary %s", got, want)
+		}
+
+		deadline := time.Now().Add(10 * time.Second)
+		for p.Stats().ReplicaLagHist.Count == 0 && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if st := p.Stats(); st.ConnectedReplicas != 2 || st.ReplicaLagHist.Count == 0 {
+			t.Errorf("primary: %d connected replicas, %d lag acks; want 2 and some", st.ConnectedReplicas, st.ReplicaLagHist.Count)
+		}
+	})
 }
 
 // TestSessionEmbeddedDB: the embedded *DB satisfies the same Session

@@ -14,8 +14,8 @@ import (
 // snapManager is the snapshot lifecycle manager: it hands OLAP
 // transactions a reference-counted snapshot generation, rotates
 // generations when the refresh policy fires (every n commits, signalled
-// by the oracle's complete hook, and/or by wall-clock age), and
-// releases a generation's column snapshots once the last pin drops.
+// by the oracle's complete hook), and releases a generation's column
+// snapshots once the last pin drops.
 //
 // Generations are fine-granular and lazy: rotating one is free, and a
 // column is only snapshotted — through the configured strategy, data
@@ -23,8 +23,7 @@ import (
 // transaction in the generation touches it.
 type snapManager struct {
 	db           *DB
-	refreshEvery uint64        // commits between refreshes, 0 = off
-	maxAge       time.Duration // wall-clock bound, 0 = off
+	refreshEvery uint64 // commits between refreshes, 0 = off
 
 	commitsSince atomic.Uint64 // commits since the current generation's ts
 	stale        atomic.Bool   // refresh policy fired, rotate on next acquire
@@ -48,7 +47,6 @@ type snapManager struct {
 // table's visibility pseudo-column ID.
 type generation struct {
 	mgr  *snapManager
-	born time.Time
 	ts   uint64
 	tsOK bool
 	refs int // pins: one per running OLAP txn, plus one while current
@@ -89,11 +87,10 @@ func (cs *colSnap) visibleAt(row int, ts uint64) bool {
 	return d == 0 || d > ts
 }
 
-func newSnapManager(db *DB, refreshEvery uint64, maxAge time.Duration) *snapManager {
+func newSnapManager(db *DB, refreshEvery uint64) *snapManager {
 	return &snapManager{
 		db:           db,
 		refreshEvery: refreshEvery,
-		maxAge:       maxAge,
 		live:         map[*generation]struct{}{},
 	}
 }
@@ -120,7 +117,7 @@ func (m *snapManager) acquire() *generation {
 		if cur != nil && m.unpinLocked(cur) {
 			dead = cur // manager held the last pin: destroy below
 		}
-		cur = &generation{mgr: m, born: time.Now(), cols: map[mvcc.ColumnID]*colSnap{}}
+		cur = &generation{mgr: m, cols: map[mvcc.ColumnID]*colSnap{}}
 		m.live[cur] = struct{}{}
 		m.generations++
 		if !m.closed {
@@ -168,10 +165,7 @@ func (m *snapManager) shouldRotate(g *generation) bool {
 	if !g.tsOK {
 		return false // never read from: still perfectly fresh
 	}
-	if m.stale.Load() {
-		return true
-	}
-	return m.maxAge > 0 && time.Since(g.born) > m.maxAge
+	return m.stale.Load()
 }
 
 // release drops one pin; the last pin releases every column snapshot

@@ -58,8 +58,9 @@ func httpGet(t *testing.T, url string) (int, string) {
 
 // mixedWorkload runs concurrent OLTP writers (with deliberate row
 // overlap, so some commits conflict) and OLAP queriers, plus one
-// explicit abort and one empty commit, then quiesces.
-func mixedWorkload(t *testing.T, db *ankerdb.DB) {
+// explicit abort and one empty commit, then quiesces. during runs on
+// the test goroutine while the writers and queriers are in flight.
+func mixedWorkload(t *testing.T, db *ankerdb.DB, during func()) {
 	t.Helper()
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
@@ -100,6 +101,7 @@ func mixedWorkload(t *testing.T, db *ankerdb.DB) {
 			}
 		}()
 	}
+	during()
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
@@ -134,7 +136,13 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 	}
 	base := "http://" + addr
 
-	mixedWorkload(t, db)
+	// The endpoint serves mid-stress, not just at rest.
+	mixedWorkload(t, db, func() {
+		code, body := httpGet(t, base+"/metrics")
+		if _, ok := metricValue(body, "ankerdb_txn_commits_total"); code != http.StatusOK || !ok {
+			t.Fatalf("mid-workload /metrics: status %d, commits series present %v", code, ok)
+		}
+	})
 
 	s := db.Stats()
 	code, body := httpGet(t, base+"/metrics")
@@ -152,6 +160,7 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 		"ankerdb_txn_empty_commits_total":       s.EmptyCommits,
 		"ankerdb_commit_batches_total":          s.CommitBatches,
 		"ankerdb_commit_validate_seconds_count": s.CommitBatches,
+		"ankerdb_commit_install_seconds_count":  s.CommitInstallHist.Count,
 		"ankerdb_group_commit_size_count":       s.GroupCommitSize.Observations(),
 		"ankerdb_group_commit_size_sum":         s.Commits + s.Conflicts,
 		"ankerdb_snapshots_created_total":       s.SnapshotsCreated,
@@ -166,6 +175,11 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s = %d, Stats says %d", name, got, want)
+		}
+	}
+	for _, name := range []string{"ankerdb_info", "ankerdb_trace_events_total"} {
+		if _, ok := metricValue(body, name); !ok {
+			t.Errorf("/metrics is missing series %s", name)
 		}
 	}
 	if s.Commits == 0 || s.QueriesRun == 0 || s.SnapshotsCreated == 0 {
