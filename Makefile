@@ -41,14 +41,16 @@ fault-sweep:
 # fuzz-smoke runs every fuzz target for 5 s each (go test takes
 # one -fuzz target per invocation): the session request/response codecs,
 # the checkpoint/bootstrap table-section decoder, the replication
-# control frames, and the WAL and schema-log record decoders. A failing
-# input lands in testdata/fuzz/ — commit it.
+# control frames, the WAL and schema-log record decoders, and the
+# segment and schema-log framing. A failing input lands in
+# testdata/fuzz/ — commit it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireReq$$' -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzWireResp$$' -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzTableSection$$' -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzControlFrames$$' -fuzztime 5s ./internal/repl
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecords$$' -fuzztime 5s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzWALFraming$$' -fuzztime 5s ./internal/wal
 
 # cover runs the test suite with coverage and writes cover.out plus the
 # HTML report CI uploads as an artifact.

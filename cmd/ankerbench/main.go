@@ -16,6 +16,12 @@
 //     counts. shards=1 is the paper's serialized commit phase; higher
 //     shard counts engage the sharded group-commit pipeline.
 //
+// "create" and "write" print Go wall time next to simulated kernel
+// time: the counted kernel events (syscalls, VMA operations, faults,
+// signals) priced by the default cost model (Stats.SimKernelTime).
+// Wall time contains no simulated cost; the strategy ordering of
+// Table 1 shows in the simulated column and the counts behind it.
+//
 // All benchmarks go exclusively through the public API, so the numbers
 // include the full commit pipeline and snapshot lifecycle. Everything
 // else a user of the system sees — the HTAP claim end to end, the WAL,
@@ -60,7 +66,6 @@ var (
 	flagRefresh    = flag.Int("refresh", 16, "snapshot refresh interval in commits (mixed benchmark)")
 	flagShards     = flag.String("shards", "1,0", "comma-separated commit shard counts for the commit sweep (0 = GOMAXPROCS)")
 	flagDur        = flag.Duration("dur", 2*time.Second, "duration per configuration (mixed and commit benchmarks)")
-	flagZeroCost   = flag.Bool("zerocost", false, "disable the simulated kernel cost model")
 	flagFormat     = flag.String("format", "text", "output format: text, csv, json")
 	flagQuick      = flag.Bool("quick", false, "smoke preset: small columns, short durations")
 )
@@ -132,9 +137,6 @@ func main() {
 		}
 		if !set["dur"] {
 			*flagDur = 300 * time.Millisecond
-		}
-		if !set["zerocost"] {
-			*flagZeroCost = true
 		}
 	}
 	var strats []ankerdb.SnapshotStrategy
@@ -223,13 +225,6 @@ func dimStr(v int) string {
 	return strconv.Itoa(v)
 }
 
-func costModel() ankerdb.CostModel {
-	if *flagZeroCost {
-		return ankerdb.ZeroCost
-	}
-	return ankerdb.DefaultCost
-}
-
 // openLoaded opens a DB with one table of cols columns, bulk-loaded.
 func openLoaded(strat ankerdb.SnapshotStrategy, cols int, extra ...ankerdb.Option) *ankerdb.DB {
 	schema := ankerdb.Schema{Table: "bench"}
@@ -239,7 +234,6 @@ func openLoaded(strat ankerdb.SnapshotStrategy, cols int, extra ...ankerdb.Optio
 	}
 	db, err := ankerdb.Open(append([]ankerdb.Option{
 		ankerdb.WithSnapshotStrategy(strat),
-		ankerdb.WithCostModel(costModel()),
 		ankerdb.WithInitialSchema(schema, *flagRows),
 	}, extra...)...)
 	if err != nil {
@@ -260,12 +254,14 @@ func openLoaded(strat ankerdb.SnapshotStrategy, cols int, extra ...ankerdb.Optio
 func colName(i int) string { return fmt.Sprintf("c%d", i) }
 
 // benchCreate measures snapshot creation latency versus the number of
-// columns an OLAP transaction touches (Table 1 / Figure 5a).
+// columns an OLAP transaction touches (Table 1 / Figure 5a). Each cell
+// is the wall time of the snapshot calls / the simulated kernel time of
+// the whole OLAP begin, the page-ins that map the snapshot included.
 func benchCreate(strats []ankerdb.SnapshotStrategy) {
-	textf("== snapshot creation latency (rows/column=%d, cols=%d) ==\n", *flagRows, *flagCols)
+	textf("== snapshot creation: wall time / simulated kernel time (rows/column=%d, cols=%d) ==\n", *flagRows, *flagCols)
 	textf("%-10s", "strategy")
 	for touch := 1; touch <= *flagCols; touch *= 2 {
-		textf("  %10s", fmt.Sprintf("%d col(s)", touch))
+		textf("  %21s", fmt.Sprintf("%d col(s)", touch))
 	}
 	textf("  %8s\n", "VMAs")
 	for _, strat := range strats {
@@ -298,9 +294,13 @@ func benchCreate(strats []ankerdb.SnapshotStrategy) {
 				fail("%v", err)
 			}
 			elapsed := after.SnapshotCreateTime - before.SnapshotCreateTime
-			textf("  %10v", elapsed)
-			emit(record{Bench: "create", Strategy: string(strat), Shards: -1, Writers: -1, Scanners: -1,
-				Touch: touch, Metric: "snapshot_create_ns", Value: float64(elapsed.Nanoseconds())})
+			sim := after.SimKernelTime - before.SimKernelTime
+			textf("  %10v / %-8v", elapsed, sim)
+			base := record{Bench: "create", Strategy: string(strat), Shards: -1, Writers: -1, Scanners: -1, Touch: touch}
+			emitAll(base, []metric{
+				{"snapshot_create_ns", float64(elapsed.Nanoseconds())},
+				{"sim_kernel_ns", float64(sim.Nanoseconds())},
+			})
 		}
 		st := db.Stats()
 		textf("  %8d\n", st.NumVMAs)
@@ -318,8 +318,8 @@ func benchCreate(strats []ankerdb.SnapshotStrategy) {
 // path of rewiring (Figure 5b).
 func benchWrite(strats []ankerdb.SnapshotStrategy) {
 	textf("== write-after-snapshot cost (%d writes across %d rows) ==\n", *flagWrites, *flagRows)
-	textf("%-10s  %12s  %10s  %10s  %12s\n",
-		"strategy", "commit time", "COW breaks", "sig hooks", "words copied")
+	textf("%-10s  %12s  %12s  %10s  %10s  %12s\n",
+		"strategy", "commit time", "sim kernel", "COW breaks", "sig hooks", "words copied")
 	for _, strat := range strats {
 		db := openLoaded(strat, *flagCols)
 		// Pin a snapshot of every column so each write is a first write
@@ -356,13 +356,15 @@ func benchWrite(strats []ankerdb.SnapshotStrategy) {
 		if err := r.Commit(); err != nil {
 			fail("%v", err)
 		}
-		textf("%-10s  %12v  %10d  %10d  %12d\n", strat, elapsed,
+		sim := after.SimKernelTime - before.SimKernelTime
+		textf("%-10s  %12v  %12v  %10d  %10d  %12d\n", strat, elapsed, sim,
 			after.VM.COWBreaks-before.VM.COWBreaks,
 			after.VM.SignalHooks-before.VM.SignalHooks,
 			after.VM.WordsCopied-before.VM.WordsCopied)
 		base := record{Bench: "write", Strategy: string(strat), Shards: -1, Writers: -1, Scanners: -1, Touch: -1}
 		emitAll(base, []metric{
 			{"commit_ns", float64(elapsed.Nanoseconds())},
+			{"sim_kernel_ns", float64(sim.Nanoseconds())},
 			{"cow_breaks", float64(after.VM.COWBreaks - before.VM.COWBreaks)},
 			{"sig_hooks", float64(after.VM.SignalHooks - before.VM.SignalHooks)},
 			{"words_copied", float64(after.VM.WordsCopied - before.VM.WordsCopied)},

@@ -27,7 +27,6 @@ func TestMicroSweep(t *testing.T) {
 	*flagRefresh = 4
 	*flagShards = "1"
 	*flagDur = 30 * time.Millisecond
-	*flagZeroCost = true
 
 	strats := []ankerdb.SnapshotStrategy{ankerdb.VMSnap}
 	emitEnv()
@@ -60,9 +59,6 @@ func TestMicroSweep(t *testing.T) {
 	}
 	if got := powersOfTwoUpTo(8); len(got) != 4 || got[3] != 8 {
 		t.Fatalf("powersOfTwoUpTo(8) = %v", got)
-	}
-	if costModel() != ankerdb.ZeroCost {
-		t.Fatal("costModel() ignored -zerocost")
 	}
 	if dimStr(-1) != "" || dimStr(3) != "3" {
 		t.Fatal("dimStr rendering broken")

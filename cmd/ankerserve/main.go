@@ -51,7 +51,6 @@ var (
 	flagSessions  = flag.Int("max-sessions", 0, "admission cap for concurrent remote sessions (0 = default)")
 	flagMetrics   = flag.String("metrics", "", "optional observability endpoint address")
 	flagCkptBytes = flag.Uint64("ckpt-bytes", 64<<20, "auto-checkpoint after this much WAL growth (0 = off)")
-	flagZeroCost  = flag.Bool("zerocost", false, "disable the simulated kernel cost model")
 )
 
 func fail(format string, args ...any) {
@@ -90,9 +89,6 @@ func run(tenants nsFlag, stop <-chan os.Signal, ready func(addr string)) error {
 				o = append(o, ankerdb.WithAutoCheckpoint(*flagCkptBytes, 0),
 					ankerdb.WithAutoCheckpointInterval(time.Minute))
 			}
-		}
-		if *flagZeroCost {
-			o = append(o, ankerdb.WithCostModel(ankerdb.ZeroCost))
 		}
 		if *flagMetrics != "" {
 			o = append(o, ankerdb.WithMetricsServer(*flagMetrics))

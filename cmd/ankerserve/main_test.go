@@ -35,7 +35,6 @@ func startRun(t *testing.T, tenants nsFlag) (string, func()) {
 func TestServeSingleTenant(t *testing.T) {
 	*flagAddr = "127.0.0.1:0"
 	*flagDir = t.TempDir()
-	*flagZeroCost = true
 	*flagSessions = 4
 	defer func() { *flagDir = ""; *flagSessions = 0 }()
 
@@ -63,7 +62,6 @@ func TestServeSingleTenant(t *testing.T) {
 func TestServeMultiTenant(t *testing.T) {
 	*flagAddr = "127.0.0.1:0"
 	*flagDir = ""
-	*flagZeroCost = true
 	root := t.TempDir()
 	var tenants nsFlag
 	for _, ns := range []string{"alpha", "beta"} {

@@ -146,25 +146,6 @@ func (db *DB) commitGrouped(s *commitShard, t *mvcc.TxnState, epochs []tableEpoc
 	default:
 	}
 
-	if db.groupMaxWait > 0 {
-		// WithGroupCommitMaxWait: linger before contending for the
-		// shard lock, so committers arriving within the window pile up
-		// in the queue and whoever wakes first processes them as one
-		// batch (one validation pass, one fsync). The wait happens
-		// OUTSIDE the shard lock — snapshot capture, checkpoints and
-		// cross-shard commits are never stalled behind a sleeping
-		// leader — and a request a concurrent leader already processed
-		// returns without touching the lock at all.
-		linger := time.Now()
-		time.Sleep(db.groupMaxWait)
-		db.tel.commitLinger.Observe(time.Since(linger))
-		select {
-		case err := <-req.errc:
-			return db.finishGrouped(req, err)
-		default:
-		}
-	}
-
 	// TryLock first so the uncontended path pays neither a clock read
 	// nor an observation; the lock-wait histogram counts contended
 	// acquisitions only.

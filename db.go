@@ -89,9 +89,7 @@ type DB struct {
 	ckptQuit        chan struct{}
 	ckptDone        chan struct{}
 
-	// groupMaxWait is how long a group-commit leader waits for
-	// followers before processing its batch (WithGroupCommitMaxWait).
-	groupMaxWait time.Duration
+	cost CostModel // prices proc's kernel counts as Stats.SimKernelTime
 
 	// gcKick wakes the watermark-driven recent-list pruner (one
 	// buffered slot: pruning is idempotent, kicks may coalesce);
@@ -443,13 +441,14 @@ func Open(opts ...Option) (*DB, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	proc := vmem.NewProcess(vmem.WithPageSize(cfg.pageSize), vmem.WithCostModel(cfg.cost))
+	proc := vmem.NewProcess(vmem.WithPageSize(cfg.pageSize))
 	strat, err := snapshot.New(string(cfg.strategy), proc)
 	if err != nil {
 		return nil, err
 	}
 	db := &DB{
 		proc:            proc,
+		cost:            cfg.cost,
 		strat:           strat,
 		alloc:           columnAlloc(proc, strat),
 		oracle:          &mvcc.Oracle{},
@@ -460,7 +459,6 @@ func Open(opts ...Option) (*DB, error) {
 		gcQuit:          make(chan struct{}),
 		autoCkptBytes:   cfg.autoCkptBytes,
 		autoCkptRecords: cfg.autoCkptRecords,
-		groupMaxWait:    cfg.groupMaxWait,
 	}
 	db.tel.rec = telemetry.NewRecorder(traceRingSize)
 	db.tel.slowThresh = cfg.slowQueryThreshold

@@ -6,7 +6,9 @@
 // The facade composes the internal layers into one runnable system:
 //
 //   - internal/phys + internal/vmem: a simulated virtual memory
-//     subsystem (VMAs, page tables, COW, fork, vm_snapshot)
+//     subsystem (VMAs, page tables, COW, fork, vm_snapshot) that counts
+//     its kernel events exactly; internal/cost prices the counts as
+//     simulated kernel time (Stats.SimKernelTime), never spent
 //   - internal/storage: columnar tables hosted in that virtual memory
 //   - internal/snapshot: the four snapshot strategies the paper
 //     compares (physical, fork, rewired, vmsnap)
@@ -50,8 +52,7 @@
 //
 // Open-time options: WithSnapshotStrategy, WithCostModel,
 // WithPageSize, WithSnapshotRefresh, WithInitialSchema,
-// WithCommitShards, WithGroupCommitMaxWait,
-// WithDurability, WithSyncPolicy, WithAutoCheckpoint,
+// WithCommitShards, WithDurability, WithSyncPolicy, WithAutoCheckpoint,
 // WithAutoCheckpointInterval, WithSlowQueryThreshold,
 // WithMetricsServer, WithServeAddr, WithReplicaOf, WithNamespace,
 // WithServeMaxSessions, WithFS (test-only fault injection).
@@ -143,7 +144,7 @@
 //	rows, _ := w.Lookup("users", "uid", 42)
 //
 // The engine is observable without touching its contended paths:
-// DB.Stats carries phase-latency histograms (commit linger, lock wait,
+// DB.Stats carries phase-latency histograms (commit lock wait,
 // validate, install, fsync; snapshot creation; query execution;
 // checkpoint, recovery replay, vacuum) next to its counters,
 // DB.TraceDump renders the flight recorder's surviving event window,

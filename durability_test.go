@@ -951,49 +951,6 @@ func TestRecoveryStreamingMemory(t *testing.T) {
 	}
 }
 
-// TestGroupCommitMaxWait: the latency/throughput knob is surfaced in
-// Stats, held batches still commit durably, and recovery sees them.
-func TestGroupCommitMaxWait(t *testing.T) {
-	dir := t.TempDir()
-	db := openDurable(t, dir, ankerdb.VMSnap,
-		ankerdb.WithGroupCommitMaxWait(time.Millisecond))
-	if got := db.Stats().GroupCommitMaxWait; got != time.Millisecond {
-		t.Fatalf("Stats().GroupCommitMaxWait = %v, want 1ms", got)
-	}
-	var wg sync.WaitGroup
-	var commits atomic.Uint64
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				tx, err := db.Begin(ankerdb.OLTP)
-				if err != nil {
-					return
-				}
-				if err := tx.Set("t", "v0", (w*8+i)%durRows, int64(w*100+i)); err != nil {
-					return
-				}
-				if tx.Commit() == nil {
-					commits.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if commits.Load() != 32 {
-		t.Fatalf("committed %d of 32 under max-wait batching", commits.Load())
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2 := openDurable(t, dir, ankerdb.VMSnap)
-	defer db2.Close()
-	if got := db2.Stats().RecoveryReplayedTxns; got != 32 {
-		t.Fatalf("recovered %d txns, want 32", got)
-	}
-}
-
 // TestDurabilityVarcharAcrossCheckpoint: VARCHAR values written before
 // a checkpoint (recovered via the checkpointed dictionary + codes) and
 // after it (recovered via WAL replay re-encoding the string) must both

@@ -2,7 +2,8 @@ package ankerdb_test
 
 // Count gates: the numbers a transaction produces that repeat exactly
 // on any host — heap allocations per transaction, WAL bytes per
-// commit record, blocks an index-routed query reads. Timing is the
+// commit record, blocks an index-routed query reads, simulated kernel
+// events per snapshot and commit. Timing is the
 // benchmark's job (benchmark/, alternated parent/change pairs); these
 // are tier-1, so one more allocation on a hot path fails go test.
 //
@@ -139,6 +140,52 @@ func TestWALBytesPerTxn(t *testing.T) {
 			t.Fatalf("txn %d logged %d WAL bytes, want %d", i, got, want)
 		}
 	}
+}
+
+// TestVMSnapKernelWorkGate: the simulated kernel work of the paper's
+// engine path under VMSnap, as exact vmem counts. An OLAP Sum in a fresh
+// generation snapshots c0's two regions — its values and their write
+// timestamps — with one vm_snapshot call each: one kernel entry and one
+// VMA copied per region, nothing split or merged. An 8-write commit to
+// 8 distinct pages then enters the kernel only through faults: the
+// first store to each value page and to its timestamp page breaks COW
+// against the pinned snapshot. Counts, not allocations, so this runs
+// under -race too.
+func TestVMSnapKernelWorkGate(t *testing.T) {
+	db := openBenchDB(t, 1, ankerdb.WithCostModel(ankerdb.DefaultCost))
+	defer db.Close()
+	type kernelWork struct{ syscalls, vmSnapshots, vmaOps, cowBreaks uint64 }
+	step := func(name string, want kernelWork, fn func()) {
+		t.Helper()
+		b := db.Stats().VM
+		fn()
+		s := db.Stats()
+		a := s.VM
+		got := kernelWork{a.Syscalls - b.Syscalls, a.VMSnapshots - b.VMSnapshots, a.VMAOps - b.VMAOps, a.COWBreaks - b.COWBreaks}
+		if got != want {
+			t.Fatalf("%s: syscalls, vm_snapshots, VMA ops, COW breaks = %+v, want %+v", name, got, want)
+		}
+		if s.SimKernelTime != a.SimTime(ankerdb.DefaultCost) {
+			t.Fatalf("%s: SimKernelTime %v, VM.SimTime(DefaultCost) %v", name, s.SimKernelTime, a.SimTime(ankerdb.DefaultCost))
+		}
+	}
+	step("OLAP Sum over c0", kernelWork{syscalls: 2, vmSnapshots: 2, vmaOps: 2}, func() {
+		r, err := db.Begin(ankerdb.OLAP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Aggregate("bench", "c0", ankerdb.Sum); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const pageRows = 4096 / 8
+	row := -pageRows
+	step("8-write commit", kernelWork{cowBreaks: 16}, func() {
+		write8(t, db, func() int { row += pageRows; return row })
+	})
 }
 
 // TestIndexRoutedEqScansNoBlocks: a 0.1%-selective Eq on a hash-indexed

@@ -1,33 +1,30 @@
-// Package cost provides the simulated kernel cost model used by the
-// virtual-memory subsystem simulator (internal/vmem).
+// Package cost provides the simulated kernel cost model used to price
+// the virtual-memory subsystem simulator (internal/vmem).
 //
 // The paper's contribution is a custom Linux system call. Re-implementing
 // it in user-space Go removes the real hardware costs of entering the
-// kernel, walking vm_area_structs, and taking page faults. Without those
-// costs, user-space map manipulation would be unrealistically cheap
-// relative to the memcpy work of physical snapshotting, and the
-// crossovers reported in Table 1 and Figure 5 of the paper would not be
-// observable. The Model type makes those per-operation costs explicit,
-// calibrated to the same order of magnitude as a Linux kernel on
-// commodity hardware, and tunable by experiments (including a zero model
-// for pure functional tests).
+// kernel, walking vm_area_structs, and taking page faults. The simulator
+// therefore counts those events exactly (vmem.Stats) and a Model prices
+// them: simulated kernel time is counts × Model, computed on read by
+// vmem.Stats.SimTime. Nothing waits for a simulated cost, so a model
+// changes what is reported, never how long anything runs. The constants
+// are calibrated to the same order of magnitude as a Linux kernel on
+// commodity hardware; Zero prices every event at nothing.
 package cost
 
 import "time"
 
-// Model describes the simulated cost of kernel-level operations.
-// All fields are durations charged via a calibrated busy-wait so that
-// they are visible to wall-clock measurements at microsecond resolution
-// (time.Sleep cannot represent sub-scheduler-quantum costs).
+// Model prices one occurrence of each kernel-level event the simulator
+// counts.
 type Model struct {
 	// SyscallEntry is charged once per simulated system call
 	// (mmap, munmap, mprotect, fork, vm_snapshot): mode switch,
 	// register save/restore, and entry bookkeeping.
 	SyscallEntry time.Duration
 
-	// VMAOp is charged per vm_area_struct created, split, merged or
-	// copied inside a call: allocation, rb-tree relinking, and
-	// anon_vma bookkeeping in a real kernel.
+	// VMAOp is charged per vm_area_struct created, split, merged,
+	// copied, reprotected or removed inside a call: allocation, rb-tree
+	// relinking, and anon_vma bookkeeping in a real kernel.
 	VMAOp time.Duration
 
 	// PageFault is charged per simulated page fault (minor fault or
@@ -53,27 +50,5 @@ var Default = Model{
 	SignalDelivery: 1500 * time.Nanosecond,
 }
 
-// Zero charges nothing. Functional tests use it so that correctness
-// suites are not slowed down by simulated hardware costs.
+// Zero prices every event at nothing.
 var Zero = Model{}
-
-// Spin busy-waits for approximately d. It is used instead of time.Sleep
-// because the simulated costs are far below the scheduler quantum.
-// Durations <= 0 return immediately.
-func Spin(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	start := time.Now()
-	for time.Since(start) < d {
-	}
-}
-
-// Charge spins for n times d. It short-circuits when either operand is
-// zero so that the Zero model has no measurable overhead.
-func Charge(d time.Duration, n int) {
-	if d <= 0 || n <= 0 {
-		return
-	}
-	Spin(time.Duration(n) * d)
-}

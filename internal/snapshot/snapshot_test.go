@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ankerdb/internal/cost"
 	"ankerdb/internal/vmem"
 )
 
@@ -20,7 +19,7 @@ type harness struct {
 
 func newHarness(t *testing.T, name string) *harness {
 	t.Helper()
-	proc := vmem.NewProcess(vmem.WithCostModel(cost.Zero))
+	proc := vmem.NewProcess()
 	anonRegion := func(t *testing.T, pages int) Region {
 		t.Helper()
 		addr, err := proc.Mmap(uint64(pages)*pageSize, vmem.ProtRead|vmem.ProtWrite, vmem.MapPrivate|vmem.MapAnonymous, nil, 0)

@@ -6,12 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ankerdb/internal/cost"
 	"ankerdb/internal/vmem"
 )
 
 func newProc() *vmem.Process {
-	return vmem.NewProcess(vmem.WithCostModel(cost.Zero))
+	return vmem.NewProcess()
 }
 
 func TestWordArrayRoundTrip(t *testing.T) {

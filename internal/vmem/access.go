@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"ankerdb/internal/cost"
 	"ankerdb/internal/mmfile"
 	"ankerdb/internal/phys"
 )
@@ -80,7 +79,6 @@ func (p *Process) repair(addr uint64, write bool) error {
 		return nil
 	}
 	p.st.signalHooks.Add(1)
-	cost.Spin(p.cost.SignalDelivery)
 	if hook == nil {
 		return fmt.Errorf("%w: write to read-only mapping at %#x and no fault hook", ErrBadAddress, addr)
 	}
@@ -106,7 +104,6 @@ func (p *Process) faultLocked(addr uint64, write bool) (hook FaultHook, needHook
 
 	if e.flags&ptePresent == 0 {
 		p.st.minorFaults.Add(1)
-		cost.Spin(p.cost.PageFault)
 		pageAddr := addr &^ (p.pageSize - 1)
 		switch {
 		case v.file == nil && write:
@@ -156,7 +153,6 @@ func (p *Process) faultLocked(addr uint64, write bool) (hook FaultHook, needHook
 // writing.
 func (p *Process) breakCOWLocked(e *pte) {
 	p.st.cowBreaks.Add(1)
-	cost.Spin(p.cost.PageFault)
 	old := e.page
 	if old.Refs() == 1 {
 		// Sole owner (the other sharers already copied): write in place.

@@ -3,7 +3,6 @@ package vmem
 import (
 	"fmt"
 
-	"ankerdb/internal/cost"
 	"ankerdb/internal/mmfile"
 )
 
@@ -24,7 +23,7 @@ func (p *Process) Mmap(length uint64, prot Prot, flags Flags, f *mmfile.File, of
 	addr := p.reserve(length)
 	p.nextOrigin++
 	p.insertVMA(&vma{start: addr, end: addr + length, prot: prot, flags: flags, file: f, fileOff: off, origin: p.nextOrigin})
-	cost.Spin(p.cost.VMAOp)
+	p.st.vmaOps.Add(1)
 	return addr, nil
 }
 
@@ -46,7 +45,7 @@ func (p *Process) MmapFixed(addr, length uint64, prot Prot, flags Flags, f *mmfi
 	p.removeRange(addr, addr+length)
 	p.nextOrigin++
 	p.insertVMA(&vma{start: addr, end: addr + length, prot: prot, flags: flags, file: f, fileOff: off, origin: p.nextOrigin})
-	cost.Spin(p.cost.VMAOp)
+	p.st.vmaOps.Add(1)
 	return nil
 }
 
@@ -115,7 +114,7 @@ func (p *Process) Mprotect(addr, length uint64, prot Prot) error {
 	i0, i1 := p.vmasIn(addr, addr+length)
 	for _, v := range p.vmas[i0:i1] {
 		v.prot = prot
-		cost.Spin(p.cost.VMAOp)
+		p.st.vmaOps.Add(1)
 		if !prot.CanWrite() {
 			p.forEachPTE(v.start, v.end, func(_ uint64, e *pte) {
 				e.flags &^= pteWriteOK
@@ -144,7 +143,6 @@ func (p *Process) Fork() *Process {
 		alloc:     p.alloc,
 		pageSize:  p.pageSize,
 		pageWords: p.pageWords,
-		cost:      p.cost,
 		pt:        map[uint64]*pteSlab{},
 		nextAddr:  p.nextAddr,
 		hook:      p.hook,
@@ -152,7 +150,7 @@ func (p *Process) Fork() *Process {
 	for _, v := range p.vmas {
 		child.vmas = append(child.vmas, v.clone())
 		p.st.vmaCopies.Add(1)
-		cost.Spin(p.cost.VMAOp)
+		p.st.vmaOps.Add(1)
 		p.copyPTERange(child, v.start, v.end, v.flags&MapPrivate != 0, 0)
 	}
 	child.nextOrigin = p.nextOrigin
@@ -236,7 +234,7 @@ func (p *Process) VMSnapshot(dst, src, length uint64) (uint64, error) {
 		c.end = svEnd - src + dst
 		c.origin = cloneOrigin
 		p.st.vmaCopies.Add(1)
-		cost.Spin(p.cost.VMAOp)
+		p.st.vmaOps.Add(1)
 		p.insertVMA(c)
 		if svPrivate {
 			p.copyPTERange(p, svStart, svEnd, true, deltaPages)

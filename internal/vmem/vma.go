@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ankerdb/internal/cost"
 	"ankerdb/internal/mmfile"
 )
 
@@ -122,7 +121,7 @@ func (p *Process) splitAt(addr uint64) {
 	copy(p.vmas[i+2:], p.vmas[i+1:])
 	p.vmas[i+1] = right
 	p.st.vmaSplits.Add(1)
-	cost.Spin(p.cost.VMAOp)
+	p.st.vmaOps.Add(1)
 }
 
 // insertVMA inserts v into the sorted VMA list and merges it with
@@ -154,7 +153,7 @@ func (p *Process) tryMerge(i int) {
 	a.end = b.end
 	p.vmas = append(p.vmas[:i], p.vmas[i+1:]...)
 	p.st.vmaMerges.Add(1)
-	cost.Spin(p.cost.VMAOp)
+	p.st.vmaOps.Add(1)
 }
 
 // removeRange unmaps [start, end): VMAs are split at the borders,
@@ -170,7 +169,7 @@ func (p *Process) removeRange(start, end uint64) {
 	}
 	for _, v := range p.vmas[i0:i1] {
 		p.dropPTEs(v.start, v.end)
-		cost.Spin(p.cost.VMAOp)
+		p.st.vmaOps.Add(1)
 	}
 	p.vmas = append(p.vmas[:i0], p.vmas[i1:]...)
 }

@@ -10,9 +10,11 @@
 // module, and the Go runtime owns the real address space (fork and
 // user-space page rewiring are unsafe under the garbage collector), so
 // this package rebuilds the mechanisms the paper manipulates as an
-// explicit model: addresses are plain integers, pages come from
-// internal/phys, and the kernel-entry costs that the paper's
-// measurements hinge on are charged through internal/cost.
+// explicit model: addresses are plain integers and pages come from
+// internal/phys. The kernel events the paper's measurements hinge on —
+// system calls, VMA operations, page faults, COW breaks, signals — are
+// counted exactly in Stats, and Stats.SimTime prices those counts with
+// a cost.Model; nothing waits for a simulated cost.
 //
 // Concurrency: a Process behaves like the kernel's mm_struct. Accessors
 // (Load, Store, ResolvePages) take a read lock, mimicking lock-free
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ankerdb/internal/cost"
 	"ankerdb/internal/phys"
@@ -91,9 +94,24 @@ type Stats struct {
 	VMASplits uint64 // VMAs split at a boundary
 	VMAMerges uint64 // adjacent compatible VMAs merged
 	VMACopies uint64 // VMAs duplicated by Fork or VMSnapshot
+	// VMAOps counts every vm_area_struct a call created, split, merged,
+	// copied, reprotected or removed: the events cost.Model.VMAOp prices.
+	VMAOps    uint64
 	PTECopies uint64 // PTEs duplicated by Fork or VMSnapshot
 
 	WordsCopied uint64 // 64-bit words copied by COW breaks
+}
+
+// SimTime is the simulated kernel time the counted events cost under m:
+// one SyscallEntry per system call, one VMAOp per VMA operation, one
+// PageFault per minor fault or COW break, one SignalDelivery per fault
+// reflected to user space. Differences of two Stats price the events
+// between them.
+func (s Stats) SimTime(m cost.Model) time.Duration {
+	return time.Duration(s.Syscalls)*m.SyscallEntry +
+		time.Duration(s.VMAOps)*m.VMAOp +
+		time.Duration(s.MinorFaults+s.COWBreaks)*m.PageFault +
+		time.Duration(s.SignalHooks)*m.SignalDelivery
 }
 
 type statCounters struct {
@@ -109,6 +127,7 @@ type statCounters struct {
 	vmaSplits   atomic.Uint64
 	vmaMerges   atomic.Uint64
 	vmaCopies   atomic.Uint64
+	vmaOps      atomic.Uint64
 	pteCopies   atomic.Uint64
 	wordsCopied atomic.Uint64
 }
@@ -119,8 +138,11 @@ type Process struct {
 	alloc     *phys.Allocator
 	pageSize  uint64
 	pageWords uint64
-	cost      cost.Model
 
+	// Every Load and Store, on any core, writes mu's reader count; the
+	// pad keeps that cache line apart from the immutable fields above,
+	// which the same accesses read.
+	_          [64]byte
 	mu         sync.RWMutex
 	vmas       []*vma
 	pt         map[uint64]*pteSlab
@@ -136,15 +158,11 @@ type Option func(*config)
 
 type config struct {
 	pageSize int
-	cost     cost.Model
 	alloc    *phys.Allocator
 }
 
 // WithPageSize sets the page size in bytes (default phys.DefaultPageSize).
 func WithPageSize(n int) Option { return func(c *config) { c.pageSize = n } }
-
-// WithCostModel sets the simulated kernel cost model (default cost.Default).
-func WithCostModel(m cost.Model) Option { return func(c *config) { c.cost = m } }
 
 // WithAllocator supplies a shared physical page pool. Processes that
 // fork from each other always share the pool of their parent.
@@ -152,7 +170,7 @@ func WithAllocator(a *phys.Allocator) Option { return func(c *config) { c.alloc 
 
 // NewProcess creates an empty address space.
 func NewProcess(opts ...Option) *Process {
-	cfg := config{pageSize: phys.DefaultPageSize, cost: cost.Default}
+	cfg := config{pageSize: phys.DefaultPageSize}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -167,7 +185,6 @@ func NewProcess(opts ...Option) *Process {
 		alloc:     cfg.alloc,
 		pageSize:  uint64(cfg.pageSize),
 		pageWords: uint64(cfg.pageSize / phys.WordSize),
-		cost:      cfg.cost,
 		pt:        map[uint64]*pteSlab{},
 		nextAddr:  1 << 20, // keep 0 invalid, like a real address space
 	}
@@ -181,9 +198,6 @@ func (p *Process) PageWords() uint64 { return p.pageWords }
 
 // Allocator returns the physical page pool.
 func (p *Process) Allocator() *phys.Allocator { return p.alloc }
-
-// CostModel returns the simulated kernel cost model.
-func (p *Process) CostModel() cost.Model { return p.cost }
 
 // SetFaultHook installs the simulated SIGSEGV handler (nil uninstalls).
 func (p *Process) SetFaultHook(h FaultHook) {
@@ -207,6 +221,7 @@ func (p *Process) Stats() Stats {
 		VMASplits:   p.st.vmaSplits.Load(),
 		VMAMerges:   p.st.vmaMerges.Load(),
 		VMACopies:   p.st.vmaCopies.Load(),
+		VMAOps:      p.st.vmaOps.Load(),
 		PTECopies:   p.st.pteCopies.Load(),
 		WordsCopied: p.st.wordsCopied.Load(),
 	}
@@ -257,11 +272,8 @@ func (p *Process) MappedBytes() uint64 {
 	return n
 }
 
-// enterKernel charges one simulated system call entry.
-func (p *Process) enterKernel() {
-	p.st.syscalls.Add(1)
-	cost.Spin(p.cost.SyscallEntry)
-}
+// enterKernel counts one simulated system call entry.
+func (p *Process) enterKernel() { p.st.syscalls.Add(1) }
 
 func (p *Process) checkAligned(vals ...uint64) error {
 	for _, v := range vals {

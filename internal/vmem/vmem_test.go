@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"ankerdb/internal/cost"
 	"ankerdb/internal/mmfile"
@@ -15,7 +16,7 @@ const ps = phys.DefaultPageSize
 
 func newProc(t *testing.T) *Process {
 	t.Helper()
-	return NewProcess(WithCostModel(cost.Zero))
+	return NewProcess()
 }
 
 // checkInvariants asserts structural health of the VMA list.
@@ -625,6 +626,49 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestSimTimeScriptedSequence: simulated kernel time is exactly the
+// counted events priced by the model — one charge per system call, VMA
+// operation, minor fault, COW break and reflected signal, no others.
+func TestSimTimeScriptedSequence(t *testing.T) {
+	p := newProc(t)
+	addr := anonMap(t, p, 4)                               // syscall, VMA created
+	p.Load(addr)                                           // read fault: zero page
+	p.Store(addr, 1)                                       // COW break off the zero page
+	p.Store(addr+ps, 1)                                    // write fault
+	if _, err := p.VMSnapshot(0, addr, 4*ps); err != nil { // syscall, VMA copied
+		t.Fatal(err)
+	}
+	p.Store(addr, 2)                                         // COW break against the snapshot
+	if err := p.Mprotect(addr, 4*ps, ProtRead); err != nil { // syscall, VMA reprotected
+		t.Fatal(err)
+	}
+	p.SetFaultHook(func(pr *Process, fa uint64) bool {
+		// syscall, two splits, one VMA reprotected
+		return pr.Mprotect(fa&^(ps-1), ps, ProtRead|ProtWrite) == nil
+	})
+	p.Store(addr+2*ps, 3)                        // signal, then a write fault
+	if err := p.Munmap(addr, 4*ps); err != nil { // syscall, three VMAs removed
+		t.Fatal(err)
+	}
+
+	st := p.Stats()
+	got := [5]uint64{st.Syscalls, st.VMAOps, st.MinorFaults, st.COWBreaks, st.SignalHooks}
+	if want := [5]uint64{5, 9, 3, 2, 1}; got != want {
+		t.Fatalf("syscalls, VMA ops, minor faults, COW breaks, signals = %v, want %v", got, want)
+	}
+	// One decimal digit per charge class makes a miscount name itself.
+	m := cost.Model{SyscallEntry: 1000, VMAOp: 100, PageFault: 10, SignalDelivery: 1}
+	if got, want := st.SimTime(m), time.Duration(5*1000+9*100+(3+2)*10+1); got != want {
+		t.Fatalf("SimTime = %v, want %v", got, want)
+	}
+	if got, want := st.SimTime(cost.Default), 5*600*time.Nanosecond+9*100*time.Nanosecond+5*250*time.Nanosecond+1500*time.Nanosecond; got != want {
+		t.Fatalf("SimTime(Default) = %v, want %v", got, want)
+	}
+	if got := st.SimTime(cost.Zero); got != 0 {
+		t.Fatalf("SimTime(Zero) = %v, want 0", got)
+	}
+}
+
 func TestDestroyReleasesEverything(t *testing.T) {
 	p := newProc(t)
 	addr := anonMap(t, p, 32)
@@ -645,7 +689,7 @@ func TestDestroyReleasesEverything(t *testing.T) {
 func TestPropertySnapshotIsolation(t *testing.T) {
 	const pages = 16
 	f := func(writes []uint16, toSnap bool) bool {
-		p := NewProcess(WithCostModel(cost.Zero))
+		p := NewProcess()
 		addr, err := p.Mmap(pages*ps, ProtRead|ProtWrite, MapPrivate|MapAnonymous, nil, 0)
 		if err != nil {
 			return false

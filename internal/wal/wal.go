@@ -555,12 +555,14 @@ var segMagic = []byte("ANKWSEG3")
 
 // frameScanner streams length+CRC framed records out of a reader,
 // reusing one payload buffer. It stops (ok=false) at a clean EOF and
-// at a torn or corrupt tail alike, mirroring nextFrame's contract.
-// off is the byte offset just past the last intact frame.
+// at a torn or corrupt tail alike. off is the byte offset just past the
+// last intact frame; end is the offset the stream ends at. A length
+// prefix reaching past end is a torn frame, refused before anything is
+// allocated for it, so the buffer never outgrows the bytes present.
 type frameScanner struct {
-	br  *bufio.Reader
-	buf []byte
-	off int64
+	br       *bufio.Reader
+	buf      []byte
+	off, end int64
 }
 
 // next returns the next intact frame payload. The returned slice is
@@ -572,7 +574,7 @@ func (fs *frameScanner) next() (payload []byte, ok bool) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:])
 	crc := binary.LittleEndian.Uint32(hdr[4:])
-	if uint64(n) > maxFrameLen {
+	if uint64(n) > maxFrameLen || fs.off+8+int64(n) > fs.end {
 		return nil, false
 	}
 	if uint64(n) > uint64(cap(fs.buf)) {
@@ -596,17 +598,19 @@ func (fs *frameScanner) next() (payload []byte, ok bool) {
 // (shard segments), the segMagic header is validated first: a
 // complete-but-wrong header is ErrCorruptWAL, a short one means the
 // segment was torn before its first record. Memory held is the bufio
-// window plus the largest frame — recorded in the recovery peak.
+// window plus the largest intact frame, at most the file's size —
+// recorded in the recovery peak.
 func (l *Log) replayFile(path string, withHeader bool, fn func(off int64, payload []byte) error) error {
 	f, err := l.fs.Open(path)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = f.Close() }()
-	size := int64(-1)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
 	}
+	size := fi.Size()
 	br := bufio.NewReaderSize(f, replayBufSize)
 	var base int64
 	if withHeader {
@@ -622,7 +626,7 @@ func (l *Log) replayFile(path string, withHeader bool, fn func(off int64, payloa
 		}
 		base = int64(len(segMagic))
 	}
-	fs := &frameScanner{br: br}
+	fs := &frameScanner{br: br, end: size - base}
 	for {
 		start := base + fs.off
 		payload, ok := fs.next()

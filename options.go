@@ -51,9 +51,6 @@ type config struct {
 	autoCkptRecords  uint64
 	autoCkptInterval time.Duration
 
-	// Group-commit leader max wait for followers (0 = drain once).
-	groupMaxWait time.Duration
-
 	// Telemetry (0/"" = disabled).
 	slowQueryThreshold time.Duration
 	metricsAddr        string
@@ -93,9 +90,9 @@ func WithSnapshotStrategy(s SnapshotStrategy) Option {
 	return func(c *config) { c.strategy = s }
 }
 
-// WithCostModel sets the simulated kernel cost model (default
-// DefaultCost). Functional tests pass ZeroCost to skip the calibrated
-// busy-waits.
+// WithCostModel sets the model Stats.SimKernelTime prices the
+// simulated kernel's event counts with (default DefaultCost). It changes
+// what is reported, not how long anything runs.
 func WithCostModel(m CostModel) Option {
 	return func(c *config) { c.cost = m }
 }
@@ -230,27 +227,6 @@ func WithAutoCheckpointInterval(d time.Duration) Option {
 			d = 0
 		}
 		c.autoCkptInterval = d
-	}
-}
-
-// WithGroupCommitMaxWait makes committers linger up to d before
-// contending for their shard's commit lock, so commits arriving within
-// the window accumulate in the queue and whoever wakes first
-// validates, stamps, and — with durability enabled — fsyncs them as
-// one batch. The wait never holds the shard lock (snapshot capture and
-// checkpoints are not stalled behind it), and a commit a concurrent
-// leader already processed returns without waiting out the full
-// window. The knob trades per-commit latency (up to d) for throughput
-// (fewer, larger fsyncs); it pays off when fsyncs dominate the commit
-// path (WithDurability under SyncGroupOnly) and only adds latency with
-// durability off. Zero (the default) contends immediately, the
-// lowest-latency behaviour.
-func WithGroupCommitMaxWait(d time.Duration) Option {
-	return func(c *config) {
-		if d < 0 {
-			d = 0
-		}
-		c.groupMaxWait = d
 	}
 }
 

@@ -111,14 +111,14 @@ const (
 	OLAP = mvcc.OLAP
 )
 
-// CostModel is the simulated kernel cost model charged by the virtual
-// memory subsystem (syscall entries, VMA operations, page faults,
-// signal delivery).
+// CostModel prices the simulated kernel's events (syscall entries, VMA
+// operations, page faults, signal delivery) for Stats.SimKernelTime:
+// simulated kernel time is VMStats counts × model, computed on read.
 type CostModel = cost.Model
 
 // Predefined cost models: DefaultCost is calibrated to the order of
-// magnitude of Linux on the paper's hardware; ZeroCost charges nothing
-// and suits functional tests.
+// magnitude of Linux on the paper's hardware; ZeroCost prices every
+// event at nothing.
 var (
 	DefaultCost = cost.Default
 	ZeroCost    = cost.Zero

@@ -29,10 +29,6 @@ type Stats struct {
 	// NOT a validation-failure count — see Conflicts for those.
 	CommitShardConflicts uint64
 	GroupCommitSize      GroupCommitHist // batch-size distribution
-	// GroupCommitMaxWait is the configured pre-lock linger that lets
-	// contemporaneous commits batch together (WithGroupCommitMaxWait;
-	// zero = contend for the shard lock immediately).
-	GroupCommitMaxWait time.Duration
 
 	// Durability subsystem (zero without WithDurability).
 	Durable    bool
@@ -101,10 +97,14 @@ type Stats struct {
 	TableCapacity int    // mapped row capacity summed over tables
 
 	// Simulated virtual memory subsystem (COW page copies, faults,
-	// VMA bookkeeping, vm_snapshot calls, ...).
-	VM          VMStats
-	MappedBytes uint64 // virtual size of the simulated process
-	NumVMAs     int    // VMA count (Figure 5a's x-axis driver)
+	// VMA bookkeeping, vm_snapshot calls, ...). SimKernelTime is
+	// VM.SimTime under the WithCostModel model: what those counts would
+	// cost a real kernel. It is never spent, so engine wall time holds
+	// none of it.
+	VM            VMStats
+	SimKernelTime time.Duration
+	MappedBytes   uint64 // virtual size of the simulated process
+	NumVMAs       int    // VMA count (Figure 5a's x-axis driver)
 
 	// Phase-latency histograms (log2 nanosecond buckets — see Hist).
 	// Stats snapshots them before loading any counter, and every
@@ -114,7 +114,6 @@ type Stats struct {
 	// SnapshotCreateHist.Count == SnapshotsCreated,
 	// QueryExecHist.Count == QueriesRun,
 	// CommitValidateHist.Count == CommitBatches).
-	CommitLingerHist   Hist // group-commit pre-lock linger, per lingering committer
 	CommitLockWaitHist Hist // contended shard commit-lock waits (the uncontended TryLock path is unobserved)
 	CommitValidateHist Hist // precision-locking validation, one observation per batch
 	CommitInstallHist  Hist // write materialisation, one observation per batch
@@ -205,7 +204,6 @@ func (db *DB) Stats() Stats {
 	// in this order bounds each histogram's Count by the counter even
 	// mid-operation.
 	tel := &db.tel
-	lingerH := tel.commitLinger.Snapshot()
 	lockWaitH := tel.commitLockWait.Snapshot()
 	validateH := tel.commitValidate.Snapshot()
 	installH := tel.commitInstall.Snapshot()
@@ -224,7 +222,6 @@ func (db *DB) Stats() Stats {
 	created := m.created.Load()
 
 	s := Stats{
-		CommitLingerHist:   lingerH,
 		CommitLockWaitHist: lockWaitH,
 		CommitValidateHist: validateH,
 		CommitInstallHist:  installH,
@@ -247,7 +244,6 @@ func (db *DB) Stats() Stats {
 		CommitShards:         len(db.shards),
 		CommitBatches:        db.st.commitBatches.Load(),
 		CommitShardConflicts: db.st.crossShard.Load(),
-		GroupCommitMaxWait:   db.groupMaxWait,
 
 		CheckpointCount:       db.st.checkpoints.Load(),
 		AutoCheckpointCount:   db.st.autoCheckpoints.Load(),
@@ -279,6 +275,7 @@ func (db *DB) Stats() Stats {
 		MappedBytes: db.proc.MappedBytes(),
 		NumVMAs:     db.proc.NumVMAs(),
 	}
+	s.SimKernelTime = s.VM.SimTime(db.cost)
 	if db.wal != nil {
 		s.Durable = true
 		s.SyncPolicy = db.wal.Policy().String()

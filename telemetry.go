@@ -51,11 +51,9 @@ const slowLogCap = 64
 type dbTelemetry struct {
 	rec *telemetry.Recorder
 
-	// Commit pipeline phases. Linger is only observed when
-	// WithGroupCommitMaxWait is set; lock-wait is observed per
-	// committer, validate/install/fsync once per batch (the amortized
-	// granularity the batch actually pays them at).
-	commitLinger   telemetry.Histogram
+	// Commit pipeline phases. Lock-wait is observed per committer,
+	// validate/install/fsync once per batch (the amortized granularity
+	// the batch actually pays them at).
 	commitLockWait telemetry.Histogram
 	commitValidate telemetry.Histogram
 	commitInstall  telemetry.Histogram
@@ -191,7 +189,6 @@ func (db *DB) MetricsText(w io.Writer) error {
 	fmt.Fprintf(w, "ankerdb_group_commit_size_count %d\n", s.GroupCommitSize.Observations())
 
 	// Commit phase latency.
-	hist("ankerdb_commit_linger_seconds", "group-commit pre-lock linger (WithGroupCommitMaxWait)", "", s.CommitLingerHist)
 	hist("ankerdb_commit_lock_wait_seconds", "contended shard commit lock acquisition wait", "", s.CommitLockWaitHist)
 	hist("ankerdb_commit_validate_seconds", "per-batch precision-locking validation", "", s.CommitValidateHist)
 	hist("ankerdb_commit_install_seconds", "per-batch write materialisation", "", s.CommitInstallHist)
@@ -279,6 +276,8 @@ func (db *DB) MetricsText(w io.Writer) error {
 	// Simulated virtual memory.
 	gauge("ankerdb_mapped_bytes", "virtual size of the simulated process", int64(s.MappedBytes))
 	gauge("ankerdb_vmas", "VMA count (Figure 5a's x-axis)", int64(s.NumVMAs))
+	fmt.Fprintf(w, "# HELP ankerdb_sim_kernel_seconds_total simulated kernel time: kernel event counts priced by the cost model\n")
+	fmt.Fprintf(w, "# TYPE ankerdb_sim_kernel_seconds_total counter\nankerdb_sim_kernel_seconds_total %g\n", s.SimKernelTime.Seconds())
 
 	counter("ankerdb_trace_events_total", "flight-recorder events recorded", db.tel.rec.Seq())
 	return nil

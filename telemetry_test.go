@@ -208,6 +208,53 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 	}
 }
 
+// TestCostModelPricesKernelWork: a cost model prices the simulated
+// kernel's events, it never waits for them. At 50 ms per system call the
+// two vm_snapshot calls behind a column snapshot still return in well
+// under 50 ms, and their 100 ms appear in SimKernelTime and its metric
+// instead. Under ZeroCost the same work prices at nothing.
+func TestCostModelPricesKernelWork(t *testing.T) {
+	const entry = 50 * time.Millisecond
+	snapshotC0 := func(db *ankerdb.DB) {
+		r, err := db.Begin(ankerdb.OLAP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Get("bench", "c0", 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	db := openBenchDB(t, 1, ankerdb.WithCostModel(ankerdb.CostModel{SyscallEntry: entry}))
+	defer db.Close()
+	before := db.Stats().SimKernelTime
+	snapshotC0(db)
+	s := db.Stats()
+	if s.LastSnapshotTime >= entry {
+		t.Fatalf("a column snapshot took %v under a %v-per-syscall model: the model stalled it", s.LastSnapshotTime, entry)
+	}
+	if got := s.SimKernelTime - before; got != 2*entry {
+		t.Fatalf("SimKernelTime grew by %v over two vm_snapshot calls, want %v", got, 2*entry)
+	}
+	var text strings.Builder
+	if err := db.MetricsText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\nankerdb_sim_kernel_seconds_total %g\n", s.SimKernelTime.Seconds()); !strings.Contains(text.String(), want) {
+		t.Fatalf("metrics lack %q", strings.TrimSpace(want))
+	}
+
+	zero := openBenchDB(t, 1) // ZeroCost
+	defer zero.Close()
+	snapshotC0(zero)
+	if s := zero.Stats(); s.VM.VMSnapshots == 0 || s.SimKernelTime != 0 {
+		t.Fatalf("ZeroCost: %d vm_snapshot calls priced at %v, want some calls at 0", s.VM.VMSnapshots, s.SimKernelTime)
+	}
+}
+
 func TestSlowQueryLog(t *testing.T) {
 	db := openTestDB(t, ankerdb.Physical,
 		ankerdb.WithSlowQueryThreshold(time.Nanosecond)) // everything is slow
