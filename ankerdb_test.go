@@ -61,12 +61,16 @@ func set(t *testing.T, db *ankerdb.DB, tab, col string, row int, v int64) {
 
 // TestSnapshotIsolation is the core acceptance test: an OLAP
 // transaction pins its snapshot timestamp at Begin and must never
-// observe writes committed afterwards, under every strategy.
+// observe writes committed afterwards, under every strategy. Stats
+// reports the strategy by the name it was opened with.
 func TestSnapshotIsolation(t *testing.T) {
 	for _, strat := range strategies {
 		t.Run(string(strat), func(t *testing.T) {
 			db := openTestDB(t, strat)
 			defer db.Close()
+			if got := db.Stats().Strategy; got != string(strat) {
+				t.Fatalf("Stats.Strategy = %q, opened with %q", got, strat)
+			}
 
 			for row := 0; row < 8; row++ {
 				set(t, db, "acct", "bal", row, 100)

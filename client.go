@@ -128,7 +128,7 @@ type wireResp struct {
 	Row   int
 	Rows  []int
 	Vals  []int64
-	Stats string // Stats: repl.EncodeGob of the Stats struct, one blob
+	Stats *Stats // Stats: every exported leaf, binenc.Struct
 }
 
 func (r *wireResp) Wire(x binenc.Codec) {
@@ -151,7 +151,10 @@ func (r *wireResp) Wire(x binenc.Codec) {
 	case opScan:
 		wireInts(x, &r.Vals)
 	case opStats:
-		x.Str(&r.Stats)
+		if x.D != nil {
+			r.Stats = new(Stats)
+		}
+		binenc.Struct(x, r.Stats)
 	case opCommit, opAbort, opSet, opSetString, opDelete:
 	default:
 		x.Fail(fmt.Errorf("unknown session op %d", r.Op))
@@ -335,12 +338,11 @@ func (s *RemoteSession) BeginTxn(class TxnClass) (SessionTxn, error) {
 // Stats fetches the served database's Stats snapshot — including the
 // replication staleness fields a client bounds reads with.
 func (s *RemoteSession) Stats() Stats {
-	var st Stats
 	resp, err := s.roundTrip(&wireReq{Op: opStats})
-	if err != nil || repl.DecodeGob([]byte(resp.Stats), &st) != nil {
+	if err != nil {
 		return Stats{}
 	}
-	return st
+	return *resp.Stats
 }
 
 // Close drops the connection. Server-side, open transactions of this
@@ -469,9 +471,6 @@ func (t *remoteTxn) Commit() error {
 }
 
 func (t *remoteTxn) Abort() error {
-	if t.done {
-		return nil
-	}
 	_, err := t.op(&wireReq{Op: opAbort})
 	t.done = true
 	return err

@@ -2,7 +2,6 @@ package ankerdb
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -185,7 +184,7 @@ func (db *DB) finishGrouped(req *commitReq, err error) error {
 // contiguous.
 func (db *DB) runBatch(s *commitShard, batch []*commitReq) {
 	db.st.commitBatches.Add(1)
-	db.st.groupSizes[groupSizeBucket(len(batch))].Add(1)
+	db.tel.groupSize.Observe(time.Duration(len(batch)))
 
 	first := db.oracle.NextCommitTSBlock(len(batch))
 	done := make([]*commitReq, 0, len(batch))
@@ -295,7 +294,7 @@ func (db *DB) commitCrossShard(ids []int, t *mvcc.TxnState, epochs []tableEpoch)
 	}
 
 	db.st.commitBatches.Add(1)
-	db.st.groupSizes[groupSizeBucket(1)].Add(1)
+	db.tel.groupSize.Observe(1)
 
 	// DDL epoch guard (see runBatch): any involved shard's lock orders
 	// the epoch load after a concurrent DDL's bump.
@@ -479,14 +478,4 @@ func validate(s *commitShard, t *mvcc.TxnState) uint64 {
 		return 0
 	}
 	return s.recent.Validate(t)
-}
-
-// groupSizeBucket maps a batch size to its histogram bucket: 1, 2, ≤4,
-// ≤8, ≤16, ≤32, ≤64, >64.
-func groupSizeBucket(n int) int {
-	b := bits.Len(uint(n - 1))
-	if b >= len(GroupCommitHist{}.Buckets) {
-		b = len(GroupCommitHist{}.Buckets) - 1
-	}
-	return b
 }

@@ -141,7 +141,6 @@ type dbCounters struct {
 	crossShard      atomic.Uint64
 	checkpoints     atomic.Uint64
 	autoCheckpoints atomic.Uint64
-	groupSizes      [8]atomic.Uint64
 	queriesRun      atomic.Uint64
 	zoneSkipped     atomic.Uint64 // scan blocks pruned by zone maps
 	zoneScanned     atomic.Uint64 // scan blocks read by the query engine

@@ -151,7 +151,9 @@
 // DB.SlowQueries returns the newest queries slower than the
 // WithSlowQueryThreshold cutoff with their per-operator row
 // breakdown, and DB.MetricsText writes the whole surface as
-// Prometheus text under stable ankerdb_* names. WithMetricsServer
+// Prometheus text under stable ankerdb_* names — a walk over the
+// metric tags of Stats, the one place each series is named and
+// described. WithMetricsServer
 // serves /metrics, /debug/vars (expvar), /debug/pprof and
 // /debug/trace over HTTP on a dedicated mux.
 //
@@ -165,9 +167,10 @@
 // (the excess dial fails with ErrTooManySessions); WithNamespace
 // names the served database, and NewServer + Server.Register front
 // several databases behind one port. Each session operation is one
-// small binary request/response pair (an OK is a 10-byte frame); the
-// server bounds inbound frames at 1 MiB and refuses peers that speak
-// another protocol version.
+// small binary request/response pair (an OK is a 10-byte frame; a
+// Stats response carries every exported leaf of Stats); the server
+// bounds inbound frames at 1 MiB and refuses peers that speak another
+// protocol version.
 //
 // WithReplicaOf(addr) opens the database as a read replica of a
 // serving primary: it bootstraps from the checkpoint format streamed in

@@ -3,7 +3,8 @@ package ankerdb_test
 // Count gates: the numbers a transaction produces that repeat exactly
 // on any host — heap allocations per transaction, WAL bytes per
 // commit record, blocks an index-routed query reads, simulated kernel
-// events per snapshot and commit. Timing is the
+// events per snapshot and commit, request frames per remote
+// transaction and stream frames per replicated commit. Timing is the
 // benchmark's job (benchmark/, alternated parent/change pairs); these
 // are tier-1, so one more allocation on a hot path fails go test.
 //
@@ -18,10 +19,15 @@ package ankerdb_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ankerdb"
+	"ankerdb/internal/repl"
 )
 
 // allocGate fails when fn allocates more than bound times per run.
@@ -89,38 +95,153 @@ func TestOLAPSumAllocGate(t *testing.T) {
 	})
 }
 
-// TestRemoteTxnAllocGate: BenchmarkRemoteTransfer's transaction — Begin,
-// 4 Gets, 4 Sets, Commit through Dial against a durable SyncNone
-// primary, over the same four cells every time — client and server
-// sides together, plus the loop's four column-name Sprintfs.
-func TestRemoteTxnAllocGate(t *testing.T) {
-	db := openBenchDB(t, 1, ankerdb.WithDurability(t.TempDir()),
+// remoteTxn4x4 is BenchmarkRemoteTransfer's transaction: Begin, 4 Gets,
+// 4 Sets, Commit, over the same four cells every time.
+func remoteTxn4x4(t *testing.T, s ankerdb.Session) {
+	t.Helper()
+	tx, err := s.BeginTxn(ankerdb.OLTP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 4; k++ {
+		col, row := fmt.Sprintf("c%d", k), k
+		v, err := tx.Get("bench", col, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Set("bench", col, row, v+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openServingBenchDB opens the bench table as a durable SyncNone
+// serving primary.
+func openServingBenchDB(t *testing.T) *ankerdb.DB {
+	return openBenchDB(t, 1, ankerdb.WithDurability(t.TempDir()),
 		ankerdb.WithSyncPolicy(ankerdb.SyncNone), ankerdb.WithServeAddr("127.0.0.1:0"))
+}
+
+// TestRemoteTxnAllocGate: remoteTxn4x4 through Dial against a durable
+// SyncNone primary — client and server sides together, plus the loop's
+// four column-name Sprintfs.
+func TestRemoteTxnAllocGate(t *testing.T) {
+	db := openServingBenchDB(t)
 	defer db.Close()
 	s, err := ankerdb.Dial(db.ServeAddr(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	allocGate(t, 112, func() {
-		tx, err := s.BeginTxn(ankerdb.OLTP)
+	allocGate(t, 112, func() { remoteTxn4x4(t, s) })
+}
+
+// requestCounter relays one connection to target and counts the session
+// request frames (MsgRequest) the client sends through it.
+type requestCounter struct {
+	ln       net.Listener
+	requests atomic.Int64
+}
+
+func newRequestCounter(t *testing.T, target string) *requestCounter {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	p := &requestCounter{ln: ln}
+	go func() {
+		c, err := ln.Accept()
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		for k := 0; k < 4; k++ {
-			col, row := fmt.Sprintf("c%d", k), k
-			v, err := tx.Get("bench", col, row)
+		s, err := net.Dial("tcp", target)
+		if err != nil {
+			_ = c.Close()
+			return
+		}
+		go func() { _, _ = io.Copy(c, s); _ = c.Close() }()
+		in, out := repl.NewConn(c), repl.NewConn(s)
+		for {
+			typ, payload, err := in.ReadMsg()
 			if err != nil {
-				t.Fatal(err)
+				break
 			}
-			if err := tx.Set("bench", col, row, v+1); err != nil {
-				t.Fatal(err)
+			if typ == repl.MsgRequest {
+				p.requests.Add(1)
+			}
+			if out.Send(typ, payload) != nil {
+				break
 			}
 		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
+		_ = s.Close()
+	}()
+	return p
+}
+
+// TestRemoteTxnRoundTripGate: remoteTxn4x4 sends one request per
+// operation — Begin, 4 Gets, 4 Sets, Commit — and so waits on exactly
+// 10 round trips.
+func TestRemoteTxnRoundTripGate(t *testing.T) {
+	db := openServingBenchDB(t)
+	defer db.Close()
+	p := newRequestCounter(t, db.ServeAddr())
+	s, err := ankerdb.Dial(p.ln.Addr().String(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		before := p.requests.Load()
+		remoteTxn4x4(t, s)
+		if got := p.requests.Load() - before; got != 10 {
+			t.Fatalf("txn %d sent %d requests, want 10", i, got)
 		}
-	})
+	}
+}
+
+// TestReplFramesPerCommitGate: each single-shard commit on a serving
+// primary streams exactly one frame to its replica, which applies
+// exactly one.
+func TestReplFramesPerCommitGate(t *testing.T) {
+	const n = 16
+	p := openServingBenchDB(t)
+	defer p.Close()
+	r, err := ankerdb.Open(ankerdb.WithCostModel(ankerdb.ZeroCost), ankerdb.WithReplicaOf(p.ServeAddr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	caughtUp := func() (ankerdb.Stats, ankerdb.Stats) {
+		t.Helper()
+		ps := p.Stats()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			rs := r.Stats()
+			if rs.CompletedCommitTS >= ps.CompletedCommitTS {
+				return ps, rs
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica at commit %d, primary at %d", rs.CompletedCommitTS, ps.CompletedCommitTS)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	pb, rb := caughtUp()
+	row := 0
+	for i := 0; i < n; i++ {
+		write8(t, p, func() int { row++; return row })
+	}
+	pa, ra := caughtUp()
+	if got := pa.ReplFramesStreamed - pb.ReplFramesStreamed; got != n {
+		t.Errorf("primary streamed %d frames for %d commits", got, n)
+	}
+	if got := ra.ReplicaFrames - rb.ReplicaFrames; got != n {
+		t.Errorf("replica applied %d frames for %d commits", got, n)
+	}
 }
 
 // TestWALBytesPerTxn: a commit of 8 int64 writes to distinct rows logs

@@ -11,6 +11,8 @@ package binenc
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"reflect"
 )
 
 // ErrTruncated is the error a Decoder latches when a read runs past the
@@ -186,4 +188,73 @@ func (c Codec) Len(n, elemSize int) int {
 		return n
 	}
 	return c.D.Count(elemSize)
+}
+
+// Struct visits every exported leaf of the struct p points to, in
+// declaration order, behind a u32 count of those leaves: integers
+// (time.Duration included) as eight bytes, bools as one, strings as
+// Str, fixed arrays and nested structs element by element. The layout
+// is the Go type itself, so a struct that grows needs no codec edit; a
+// decoder whose type has a different leaf count fails instead of
+// misreading. It panics on a leaf of any other kind (a programming
+// error, not an input error).
+func Struct(c Codec, p any) {
+	v := reflect.ValueOf(p).Elem()
+	n := leaves(v.Type())
+	got := n
+	if U32(c, &got); c.D != nil && got != n {
+		c.Fail(fmt.Errorf("struct of %d leaves, %s has %d", got, v.Type(), n))
+		return
+	}
+	visit(c, v)
+}
+
+// leaves counts the leaves Struct visits in a value of type t.
+func leaves(t reflect.Type) int {
+	switch t.Kind() {
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).IsExported() {
+				n += leaves(t.Field(i).Type)
+			}
+		}
+		return n
+	case reflect.Array:
+		return t.Len() * leaves(t.Elem())
+	}
+	return 1
+}
+
+func visit(c Codec, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				visit(c, v.Field(i))
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			visit(c, v.Index(i))
+		}
+	case reflect.Bool:
+		b := v.Bool()
+		c.Bool(&b)
+		v.SetBool(b)
+	case reflect.String:
+		s := v.String()
+		c.Str(&s)
+		v.SetString(s)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		x := v.Int()
+		U64(c, &x)
+		v.SetInt(x)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		x := v.Uint()
+		U64(c, &x)
+		v.SetUint(x)
+	default:
+		panic(fmt.Sprintf("binenc: Struct cannot visit a %s", v.Type()))
+	}
 }

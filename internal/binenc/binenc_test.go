@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 )
 
 // rec exercises every Codec visit, so one layout serves both directions.
@@ -81,4 +82,49 @@ func TestCountAndFail(t *testing.T) {
 		t.Fatalf("Fail kept %v, want the first error", d.Err)
 	}
 	Codec{E: &e}.Fail(first)
+}
+
+// leafy has every leaf kind Struct visits, nested and in an array, plus
+// an unexported field it must skip.
+type leafy struct {
+	N    int32
+	D    time.Duration
+	Hist struct {
+		Count   uint64
+		Buckets [3]uint16
+	}
+	On   bool
+	Name string
+	skip int
+}
+
+// TestStructLeaves: Struct round-trips every exported leaf, refuses a
+// body whose leaf count is another type's, and latches truncation.
+func TestStructLeaves(t *testing.T) {
+	want := leafy{N: -7, D: time.Hour, On: true, Name: "\xffé", skip: 9}
+	want.Hist.Count = math.MaxUint64
+	want.Hist.Buckets = [3]uint16{1, 0, math.MaxUint16}
+	var e Encoder
+	Struct(Codec{E: &e}, &want)
+	if n := len(e.B); n != 4+8*(3+3)+1+4+len(want.Name) {
+		t.Fatalf("encoded %d bytes", n)
+	}
+	var got leafy
+	d := Decoder{B: e.B}
+	Struct(Codec{D: &d}, &got)
+	want.skip = 0
+	if d.Err != nil || len(d.B) != 0 || got != want {
+		t.Fatalf("decoded %+v (err %v, %d left), want %+v", got, d.Err, len(d.B), want)
+	}
+	d = Decoder{B: e.B}
+	var other struct{ A, B uint64 }
+	if Struct(Codec{D: &d}, &other); d.Err == nil {
+		t.Fatal("an 8-leaf body decoded into a 2-leaf struct")
+	}
+	for n := 0; n < len(e.B); n++ {
+		d := Decoder{B: e.B[:n]}
+		if Struct(Codec{D: &d}, &leafy{}); !errors.Is(d.Err, ErrTruncated) {
+			t.Fatalf("prefix of %d bytes: err = %v, want ErrTruncated", n, d.Err)
+		}
+	}
 }

@@ -100,8 +100,9 @@ const (
 // refuses any other value with a MsgErr, so a peer speaking another
 // encoding is turned away cleanly instead of misparsed. Version 2
 // replaced the one-frame-per-table snapshot body (an O(table) frame)
-// with the chunked checkpoint-format body.
-const ProtoVersion = 2
+// with the chunked checkpoint-format body; version 3 replaced the
+// session Stats body's gob blob with a binenc.Struct walk.
+const ProtoVersion = 3
 
 // ErrBadFrame is the error every malformed frame or message body
 // matches: a length out of range, a checksum mismatch, a truncated or
@@ -384,10 +385,9 @@ func (c *Conn) ReadMsg() (MsgType, []byte, error) {
 	return MsgType(body[0]), body[1:], nil
 }
 
-// EncodeGob serialises v as one self-describing gob blob. Retained for
-// the session Stats body (a cold, ever-growing struct shipped as one
-// length-prefixed blob) and the benchmark's repl.gob_pair_* kernel; no
-// frame on a hot path uses it.
+// EncodeGob serialises v as one self-describing gob blob. No frame
+// uses it: it is kept only because the benchmark's repl.gob_pair_*
+// kernel calls it, and goes when that kernel does.
 func EncodeGob(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -397,7 +397,7 @@ func EncodeGob(v any) ([]byte, error) {
 }
 
 // DecodeGob deserialises an EncodeGob blob into v (see EncodeGob for
-// the two places that still use it).
+// its one remaining caller).
 func DecodeGob(payload []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }

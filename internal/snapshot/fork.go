@@ -16,7 +16,7 @@ type ForkBased struct {
 func NewForkBased(proc *vmem.Process) *ForkBased { return &ForkBased{proc: proc} }
 
 // Name implements Strategy.
-func (*ForkBased) Name() string { return "fork" }
+func (*ForkBased) Name() string { return KindFork }
 
 type forkSnap struct {
 	child   *vmem.Process
@@ -43,7 +43,3 @@ func (f *ForkBased) Snapshot(regions []Region) (Snap, error) {
 }
 
 var _ Strategy = (*ForkBased)(nil)
-
-func init() {
-	Register(KindFork, func(p *vmem.Process) Strategy { return NewForkBased(p) })
-}

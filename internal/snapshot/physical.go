@@ -16,7 +16,7 @@ type Physical struct {
 func NewPhysical(proc *vmem.Process) *Physical { return &Physical{proc: proc} }
 
 // Name implements Strategy.
-func (*Physical) Name() string { return "physical" }
+func (*Physical) Name() string { return KindPhysical }
 
 // Snapshot implements Strategy: it allocates len(regions) fresh areas
 // and copies the source bytes over.
@@ -46,7 +46,3 @@ func (p *Physical) Snapshot(regions []Region) (Snap, error) {
 }
 
 var _ Strategy = (*Physical)(nil)
-
-func init() {
-	Register(KindPhysical, func(p *vmem.Process) Strategy { return NewPhysical(p) })
-}

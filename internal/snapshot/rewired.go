@@ -34,7 +34,7 @@ func NewRewired(proc *vmem.Process) *Rewired {
 }
 
 // Name implements Strategy.
-func (*Rewired) Name() string { return "rewiring" }
+func (*Rewired) Name() string { return KindRewired }
 
 // NewRegion allocates a rewirable region of length bytes: a fresh
 // main-memory file mapped shared and writable. Columns that will be
@@ -135,7 +135,3 @@ var (
 	_ Strategy        = (*Rewired)(nil)
 	_ RegionAllocator = (*Rewired)(nil)
 )
-
-func init() {
-	Register(KindRewired, func(p *vmem.Process) Strategy { return NewRewired(p) })
-}

@@ -16,6 +16,7 @@ package snapshot
 import (
 	"fmt"
 
+	"ankerdb/internal/mmfile"
 	"ankerdb/internal/vmem"
 )
 
@@ -41,10 +42,43 @@ type Snap interface {
 
 // Strategy creates snapshots of regions inside proc.
 type Strategy interface {
-	// Name identifies the technique in benchmark output.
+	// Name is the strategy's Kind constant, the name New takes.
 	Name() string
 	// Snapshot creates a snapshot of the given regions.
 	Snapshot(regions []Region) (Snap, error)
+}
+
+// The strategy names: what New takes and Strategy.Name returns.
+const (
+	KindPhysical = "physical"
+	KindFork     = "fork"
+	KindRewired  = "rewired"
+	KindVMSnap   = "vmsnap"
+)
+
+// New constructs the named strategy for proc.
+func New(name string, proc *vmem.Process) (Strategy, error) {
+	switch name {
+	case KindPhysical:
+		return NewPhysical(proc), nil
+	case KindFork:
+		return NewForkBased(proc), nil
+	case KindRewired:
+		return NewRewired(proc), nil
+	case KindVMSnap:
+		return NewVMSnap(proc), nil
+	}
+	return nil, fmt.Errorf("snapshot: unknown strategy %q (have %s, %s, %s, %s)",
+		name, KindPhysical, KindFork, KindRewired, KindVMSnap)
+}
+
+// RegionAllocator is implemented by strategies whose source regions need
+// special backing. Rewired snapshotting can only snapshot shared
+// mappings of main-memory files, so callers hosting data that will be
+// snapshotted must allocate it through NewRegion when the strategy
+// implements this interface.
+type RegionAllocator interface {
+	NewRegion(name string, length uint64) (Region, *mmfile.File, error)
 }
 
 // baseSnap is the common Snap shape for single-process strategies.

@@ -17,7 +17,7 @@ type harness struct {
 	region   func(t *testing.T, pages int) Region
 }
 
-func newHarness(t *testing.T, name string) *harness {
+func newHarness(t *testing.T, kind string) *harness {
 	t.Helper()
 	proc := vmem.NewProcess()
 	anonRegion := func(t *testing.T, pages int) Region {
@@ -29,16 +29,12 @@ func newHarness(t *testing.T, name string) *harness {
 		return Region{Addr: addr, Len: uint64(pages) * pageSize}
 	}
 	h := &harness{proc: proc, region: anonRegion}
-	switch name {
-	case "physical":
-		h.strategy = NewPhysical(proc)
-	case "fork":
-		h.strategy = NewForkBased(proc)
-	case "vm_snapshot":
-		h.strategy = NewVMSnap(proc)
-	case "rewiring":
-		r := NewRewired(proc)
-		h.strategy = r
+	s, err := New(kind, proc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.strategy = s
+	if r, ok := s.(RegionAllocator); ok {
 		h.region = func(t *testing.T, pages int) Region {
 			t.Helper()
 			reg, _, err := r.NewRegion("col", uint64(pages)*pageSize)
@@ -47,13 +43,18 @@ func newHarness(t *testing.T, name string) *harness {
 			}
 			return reg
 		}
-	default:
-		t.Fatalf("unknown strategy %q", name)
 	}
 	return h
 }
 
-var allStrategies = []string{"physical", "fork", "rewiring", "vm_snapshot"}
+// allStrategies lists every Kind with the label its subtests run under:
+// the paper's name for the technique.
+var allStrategies = []struct{ label, kind string }{
+	{"physical", KindPhysical},
+	{"fork", KindFork},
+	{"rewiring", KindRewired},
+	{"vm_snapshot", KindVMSnap},
+}
 
 func fillRegion(p *vmem.Process, r Region, seed uint64) {
 	for off := uint64(0); off < r.Len; off += 8 {
@@ -61,19 +62,24 @@ func fillRegion(p *vmem.Process, r Region, seed uint64) {
 	}
 }
 
+// TestStrategyNames: a strategy's Name is the Kind New built it from,
+// and New refuses any other name.
 func TestStrategyNames(t *testing.T) {
-	for _, name := range allStrategies {
-		h := newHarness(t, name)
-		if got := h.strategy.Name(); got != name {
-			t.Errorf("Name() = %q, want %q", got, name)
+	for _, s := range allStrategies {
+		h := newHarness(t, s.kind)
+		if got := h.strategy.Name(); got != s.kind {
+			t.Errorf("Name() = %q, want %q", got, s.kind)
 		}
+	}
+	if _, err := New("rewiring", vmem.NewProcess()); err == nil {
+		t.Error(`New("rewiring") succeeded; only Kind names construct`)
 	}
 }
 
 func TestSnapshotSeesSourceContent(t *testing.T) {
-	for _, name := range allStrategies {
-		t.Run(name, func(t *testing.T) {
-			h := newHarness(t, name)
+	for _, s := range allStrategies {
+		t.Run(s.label, func(t *testing.T) {
+			h := newHarness(t, s.kind)
 			reg := h.region(t, 8)
 			fillRegion(h.proc, reg, 1000)
 			snap, err := h.strategy.Snapshot([]Region{reg})
@@ -93,9 +99,9 @@ func TestSnapshotSeesSourceContent(t *testing.T) {
 }
 
 func TestSourceWritesInvisibleInSnapshot(t *testing.T) {
-	for _, name := range allStrategies {
-		t.Run(name, func(t *testing.T) {
-			h := newHarness(t, name)
+	for _, s := range allStrategies {
+		t.Run(s.label, func(t *testing.T) {
+			h := newHarness(t, s.kind)
 			reg := h.region(t, 8)
 			fillRegion(h.proc, reg, 0)
 			snap, err := h.strategy.Snapshot([]Region{reg})
@@ -126,9 +132,9 @@ func TestSourceWritesInvisibleInSnapshot(t *testing.T) {
 }
 
 func TestMultiRegionSnapshot(t *testing.T) {
-	for _, name := range allStrategies {
-		t.Run(name, func(t *testing.T) {
-			h := newHarness(t, name)
+	for _, s := range allStrategies {
+		t.Run(s.label, func(t *testing.T) {
+			h := newHarness(t, s.kind)
 			regs := []Region{h.region(t, 2), h.region(t, 4), h.region(t, 3)}
 			for i, r := range regs {
 				fillRegion(h.proc, r, uint64(i)*10000)
@@ -157,21 +163,21 @@ func TestMultiRegionSnapshot(t *testing.T) {
 }
 
 func TestEmptyAndInvalidRegions(t *testing.T) {
-	for _, name := range allStrategies {
-		h := newHarness(t, name)
+	for _, s := range allStrategies {
+		h := newHarness(t, s.kind)
 		if _, err := h.strategy.Snapshot(nil); err == nil {
-			t.Errorf("%s: snapshot of no regions succeeded", name)
+			t.Errorf("%s: snapshot of no regions succeeded", s.kind)
 		}
 		if _, err := h.strategy.Snapshot([]Region{{Addr: 4096, Len: 0}}); err == nil {
-			t.Errorf("%s: snapshot of empty region succeeded", name)
+			t.Errorf("%s: snapshot of empty region succeeded", s.kind)
 		}
 	}
 }
 
 func TestReleaseFreesPages(t *testing.T) {
-	for _, name := range allStrategies {
-		t.Run(name, func(t *testing.T) {
-			h := newHarness(t, name)
+	for _, s := range allStrategies {
+		t.Run(s.label, func(t *testing.T) {
+			h := newHarness(t, s.kind)
 			reg := h.region(t, 16)
 			fillRegion(h.proc, reg, 0)
 			live := h.proc.Allocator().Stats().Live
@@ -190,9 +196,9 @@ func TestReleaseFreesPages(t *testing.T) {
 
 func TestVirtualStrategiesShareUntilWrite(t *testing.T) {
 	// The three virtual techniques must not copy data at creation time.
-	for _, name := range []string{"fork", "rewiring", "vm_snapshot"} {
-		t.Run(name, func(t *testing.T) {
-			h := newHarness(t, name)
+	for _, s := range allStrategies[1:] {
+		t.Run(s.label, func(t *testing.T) {
+			h := newHarness(t, s.kind)
 			reg := h.region(t, 64)
 			fillRegion(h.proc, reg, 0)
 			live := h.proc.Allocator().Stats().Live
@@ -214,7 +220,7 @@ func TestVirtualStrategiesShareUntilWrite(t *testing.T) {
 }
 
 func TestPhysicalCopiesEagerly(t *testing.T) {
-	h := newHarness(t, "physical")
+	h := newHarness(t, KindPhysical)
 	reg := h.region(t, 16)
 	fillRegion(h.proc, reg, 0)
 	live := h.proc.Allocator().Stats().Live
@@ -229,7 +235,7 @@ func TestPhysicalCopiesEagerly(t *testing.T) {
 }
 
 func TestRewiringVMACountGrowsWithWrites(t *testing.T) {
-	h := newHarness(t, "rewiring")
+	h := newHarness(t, KindRewired)
 	reg := h.region(t, 32)
 	fillRegion(h.proc, reg, 0)
 	snap, err := h.strategy.Snapshot([]Region{reg})
@@ -252,7 +258,7 @@ func TestRewiringVMACountGrowsWithWrites(t *testing.T) {
 }
 
 func TestRewiringSecondSnapshotAfterWrites(t *testing.T) {
-	h := newHarness(t, "rewiring")
+	h := newHarness(t, KindRewired)
 	reg := h.region(t, 8)
 	fillRegion(h.proc, reg, 0)
 	s1, err := h.strategy.Snapshot([]Region{reg})
@@ -282,7 +288,7 @@ func TestRewiringSecondSnapshotAfterWrites(t *testing.T) {
 }
 
 func TestVMSnapSnapshotInto(t *testing.T) {
-	h := newHarness(t, "vm_snapshot")
+	h := newHarness(t, KindVMSnap)
 	v := h.strategy.(*VMSnap)
 	reg := h.region(t, 4)
 	fillRegion(h.proc, reg, 500)
@@ -303,7 +309,7 @@ func TestVMSnapSnapshotInto(t *testing.T) {
 }
 
 func TestForkSnapshotIndependentOfRequestedRegions(t *testing.T) {
-	h := newHarness(t, "fork")
+	h := newHarness(t, KindFork)
 	regs := []Region{h.region(t, 4), h.region(t, 4)}
 	for _, r := range regs {
 		fillRegion(h.proc, r, 7)

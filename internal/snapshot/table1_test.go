@@ -57,42 +57,42 @@ func TestTable1KernelCounts(t *testing.T) {
 		release    vmem.Stats
 		sim        [3]time.Duration // create, write, release under cost.Default
 	}{
-		{"physical", false, 1,
+		{KindPhysical, false, 1,
 			vmem.Stats{Syscalls: 1, Mmaps: 1, VMAOps: 1, MinorFaults: pages},
 			vmem.Stats{},
 			vmem.Stats{Syscalls: 1, VMAOps: 1},
 			[3]time.Duration{16700, 0, 700}},
-		{"physical", true, 1,
+		{KindPhysical, true, 1,
 			vmem.Stats{Syscalls: 1, Mmaps: 1, VMAOps: 1, MinorFaults: pages},
 			vmem.Stats{},
 			vmem.Stats{Syscalls: 1, VMAOps: 1},
 			[3]time.Duration{16700, 0, 700}},
-		{"fork", false, 1,
+		{KindFork, false, 1,
 			vmem.Stats{Syscalls: 1, VMAOps: 1, PTECopies: pages},
 			vmem.Stats{COWBreaks: pages, WordsCopied: words},
 			vmem.Stats{},
 			[3]time.Duration{700, 16000, 0}},
-		{"fork", true, 1,
+		{KindFork, true, 1,
 			vmem.Stats{Syscalls: 1, VMAOps: 1, PTECopies: pages},
 			vmem.Stats{COWBreaks: pages, WordsCopied: words},
 			vmem.Stats{},
 			[3]time.Duration{700, 16000, 0}},
-		{"rewiring", false, 1,
+		{KindRewired, false, 1,
 			vmem.Stats{Syscalls: 2, Mmaps: 1, VMAOps: 2},
 			vmem.Stats{Syscalls: pages, Mmaps: pages, VMAOps: 254, MinorFaults: pages, SignalHooks: pages},
 			vmem.Stats{Syscalls: 1, VMAOps: 1},
 			[3]time.Duration{1400, 175800, 700}},
-		{"rewiring", true, 2*writes + 1,
+		{KindRewired, true, 2*writes + 1,
 			vmem.Stats{Syscalls: 2*writes + 2, Mmaps: 2*writes + 1, VMAOps: 80},
 			vmem.Stats{Syscalls: pages, Mmaps: pages, VMAOps: 238, MinorFaults: pages, SignalHooks: pages},
 			vmem.Stats{Syscalls: 1, VMAOps: 2*writes + 1},
 			[3]time.Duration{18800, 174200, 2300}},
-		{"vm_snapshot", false, 1,
+		{KindVMSnap, false, 1,
 			vmem.Stats{Syscalls: 1, VMSnapshots: 1, VMAOps: 1, PTECopies: pages},
 			vmem.Stats{COWBreaks: pages, WordsCopied: words},
 			vmem.Stats{Syscalls: 1, VMAOps: 1},
 			[3]time.Duration{700, 16000, 700}},
-		{"vm_snapshot", true, 1,
+		{KindVMSnap, true, 1,
 			vmem.Stats{Syscalls: 1, VMSnapshots: 1, VMAOps: 1, PTECopies: pages},
 			vmem.Stats{COWBreaks: pages, WordsCopied: words},
 			vmem.Stats{Syscalls: 1, VMAOps: 1},

@@ -17,7 +17,7 @@ type VMSnap struct {
 func NewVMSnap(proc *vmem.Process) *VMSnap { return &VMSnap{proc: proc} }
 
 // Name implements Strategy.
-func (*VMSnap) Name() string { return "vm_snapshot" }
+func (*VMSnap) Name() string { return KindVMSnap }
 
 // Snapshot implements Strategy: one vm_snapshot call per region.
 func (v *VMSnap) Snapshot(regions []Region) (Snap, error) {
@@ -47,7 +47,3 @@ func (v *VMSnap) SnapshotInto(dst Region, src Region) error {
 }
 
 var _ Strategy = (*VMSnap)(nil)
-
-func init() {
-	Register(KindVMSnap, func(p *vmem.Process) Strategy { return NewVMSnap(p) })
-}

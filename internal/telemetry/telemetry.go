@@ -32,7 +32,8 @@ import (
 // or above 2^(NumBuckets-2) ns (~1.1 s) as +Inf.
 const NumBuckets = 32
 
-// Histogram is a lock-free log2-bucketed latency histogram. The zero
+// Histogram is a lock-free log2-bucketed latency histogram; fed
+// time.Duration(n) it buckets counts the same way (see Unit). The zero
 // value is ready to use; it must not be copied after first use.
 type Histogram struct {
 	count   atomic.Uint64
@@ -164,15 +165,36 @@ func (h Hist) String() string {
 		h.Count, h.Mean(), h.Quantile(0.50), h.Quantile(0.99), BucketBound(maxB))
 }
 
+// Unit is what a histogram's observations measure, which decides how
+// WriteProm renders its bounds and sum.
+type Unit uint8
+
+const (
+	// Seconds: observations are durations; bounds and sum render in
+	// seconds.
+	Seconds Unit = iota
+	// Counts: observations are counts fed as Observe(time.Duration(n))
+	// (batch sizes, commits of lag); bounds and sum render as integers.
+	Counts
+)
+
+// render formats n, a bucket bound or sum in observation units.
+func (u Unit) render(n uint64) string {
+	if u == Counts {
+		return fmt.Sprint(n)
+	}
+	return fmt.Sprint(float64(n) / 1e9)
+}
+
 // WriteProm renders the snapshot as one Prometheus histogram metric
-// family (name_bucket{...le}, name_sum, name_count), with le bounds in
-// seconds. labels ("" or `strategy="vmsnap"`) are applied to every
-// series. Buckets above the highest non-empty one are elided — the
-// +Inf bucket always closes the series.
-func (h Hist) WriteProm(w io.Writer, name, labels string) {
-	sep := ""
+// family (name_bucket{...le}, name_sum, name_count), with le bounds and
+// the sum in unit. labels ("" or `strategy="vmsnap"`) are applied to
+// every series. Buckets above the highest non-empty one are elided —
+// the +Inf bucket always closes the series.
+func (h Hist) WriteProm(w io.Writer, name, labels string, unit Unit) {
+	sep, sumLabels := "", ""
 	if labels != "" {
-		sep = ","
+		sep, sumLabels = ",", "{"+labels+"}"
 	}
 	var cum uint64
 	top := 0
@@ -183,19 +205,13 @@ func (h Hist) WriteProm(w io.Writer, name, labels string) {
 	}
 	for i := 0; i <= top && i < NumBuckets-1; i++ {
 		cum += h.Buckets[i]
-		// Bucket i holds integral nanosecond durations < 2^i, i.e.
-		// <= 2^i - 1; that is the exact inclusive Prometheus bound.
-		le := float64(uint64(1)<<uint(i)-1) / 1e9
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, le, cum)
+		// Bucket i holds integral observations < 2^i, i.e. <= 2^i - 1;
+		// that is the exact inclusive Prometheus bound.
+		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%s\"} %d\n", name, labels, sep, unit.render(uint64(1)<<uint(i)-1), cum)
 	}
 	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, h.Count)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.SumNanos)/1e9)
-		fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, float64(h.SumNanos)/1e9)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.Count)
-	}
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, sumLabels, unit.render(h.SumNanos))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, sumLabels, h.Count)
 }
 
 // EventKind tags a flight-recorder event.

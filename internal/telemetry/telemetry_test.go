@@ -93,7 +93,7 @@ func TestHistogramWriteProm(t *testing.T) {
 	h.Observe(100 * time.Nanosecond)
 	h.Observe(3 * time.Microsecond)
 	var b strings.Builder
-	h.Snapshot().WriteProm(&b, "x_seconds", "")
+	h.Snapshot().WriteProm(&b, "x_seconds", "", Seconds)
 	out := b.String()
 	if !strings.Contains(out, `x_seconds_bucket{le="+Inf"} 2`) {
 		t.Fatalf("missing +Inf bucket:\n%s", out)
@@ -118,12 +118,49 @@ func TestHistogramWriteProm(t *testing.T) {
 	}
 
 	b.Reset()
-	h.Snapshot().WriteProm(&b, "y_seconds", `strategy="fork"`)
+	h.Snapshot().WriteProm(&b, "y_seconds", `strategy="fork"`, Seconds)
 	if !strings.Contains(b.String(), `y_seconds_bucket{strategy="fork",le="+Inf"} 2`) {
 		t.Fatalf("labeled render:\n%s", b.String())
 	}
 	if !strings.Contains(b.String(), `y_seconds_count{strategy="fork"} 2`) {
 		t.Fatalf("labeled count:\n%s", b.String())
+	}
+}
+
+// TestHistogramCounts: a histogram fed counts (batch sizes) renders its
+// bounds and sum as integers — bucket i holds counts up to 2^i - 1 —
+// with the empty buckets above the largest observation elided.
+func TestHistogramCounts(t *testing.T) {
+	var h Histogram
+	for _, n := range []int{1, 1, 1, 1, 3, 3, 3, 3, 3, 3, 100, 100} {
+		h.Observe(time.Duration(n))
+	}
+	s := h.Snapshot()
+	if s.Count != 12 || s.SumNanos != 4+18+200 {
+		t.Fatalf("Count %d, Sum %d", s.Count, s.SumNanos)
+	}
+	var b strings.Builder
+	s.WriteProm(&b, "batch", "", Counts)
+	want := `batch_bucket{le="0"} 0
+batch_bucket{le="1"} 4
+batch_bucket{le="3"} 10
+batch_bucket{le="7"} 10
+batch_bucket{le="15"} 10
+batch_bucket{le="31"} 10
+batch_bucket{le="63"} 10
+batch_bucket{le="127"} 12
+batch_bucket{le="+Inf"} 12
+batch_sum 222
+batch_count 12
+`
+	if b.String() != want {
+		t.Fatalf("rendered\n%s\nwant\n%s", b.String(), want)
+	}
+	if got := (Hist{}).String(); got != "n=0" {
+		t.Fatalf("empty String() = %q", got)
+	}
+	if got := s.String(); !strings.HasPrefix(got, "n=12 ") {
+		t.Fatalf("String() = %q", got)
 	}
 }
 

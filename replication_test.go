@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -648,6 +649,86 @@ func TestSessionEmbeddedDB(t *testing.T) {
 	}
 	if st := s.Stats(); st.Strategy == "" {
 		t.Fatal("embedded Stats missing strategy")
+	}
+}
+
+// TestSessionFinishedTxnParity: a finished transaction answers the same
+// through the embedded *DB and through Dial — each step's error matches
+// the same sentinel under errors.Is (or is nil on both sides), as
+// Session's "runs unchanged" promise requires.
+func TestSessionFinishedTxnParity(t *testing.T) {
+	p := openPrimary(t, WithInitialSchema(NewSchema("kv").Int64("v").Build(), 8))
+	remote, err := Dial(p.ServeAddr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	for _, side := range []struct {
+		name string
+		s    Session
+	}{{"embedded", p}, {"remote", remote}} {
+		t.Run(side.name, func(t *testing.T) {
+			begin := func() SessionTxn {
+				t.Helper()
+				tx, err := side.s.BeginTxn(OLTP)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tx
+			}
+			step := func(what string, err, want error) {
+				t.Helper()
+				if (want == nil) != (err == nil) || !errors.Is(err, want) {
+					t.Errorf("%s: %v, want %v", what, err, want)
+				}
+			}
+			tx := begin()
+			step("Set", tx.Set("kv", "v", 0, 1), nil)
+			step("Commit", tx.Commit(), nil)
+			step("Abort after Commit", tx.Abort(), ErrTxnDone)
+			_, err := tx.Get("kv", "v", 0)
+			step("Get after Commit", err, ErrTxnDone)
+
+			tx = begin()
+			step("Abort", tx.Abort(), nil)
+			step("Commit after Abort", tx.Commit(), ErrTxnDone)
+
+			// Both read then write row 1: the second commit conflicts.
+			a, b := begin(), begin()
+			for _, x := range []SessionTxn{a, b} {
+				_, err := x.Get("kv", "v", 1)
+				step("Get", err, nil)
+				step("Set", x.Set("kv", "v", 1, 7), nil)
+			}
+			step("Commit", a.Commit(), nil)
+			step("conflicting Commit", b.Commit(), ErrConflict)
+			step("Abort after a failed Commit", b.Abort(), ErrTxnDone)
+		})
+	}
+}
+
+// TestRemoteStatsEqualEmbedded: a remote session's Stats is the served
+// database's own, leaf for leaf, while the database is quiet.
+func TestRemoteStatsEqualEmbedded(t *testing.T) {
+	p := openPrimary(t, WithInitialSchema(NewSchema("kv").Int64("v").Build(), 8))
+	for i := 0; i < 5; i++ {
+		commitWrite(t, p, "kv", "v", i, int64(i))
+	}
+	olapGet(t, p, "kv", "v", 0)
+	sess, err := Dial(p.ServeAddr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	remote, local := sess.Stats(), p.Stats()
+	if remote.Commits != 5 || remote.SnapshotCreateHist.Count == 0 || remote.Strategy != string(VMSnap) {
+		t.Fatalf("remote Stats: %d commits, %d snapshots timed, strategy %q", remote.Commits, remote.SnapshotCreateHist.Count, remote.Strategy)
+	}
+	rv, lv := reflect.ValueOf(remote), reflect.ValueOf(local)
+	for i := 0; i < rv.NumField(); i++ {
+		if r, l := rv.Field(i).Interface(), lv.Field(i).Interface(); !reflect.DeepEqual(r, l) {
+			t.Errorf("Stats.%s: remote %v, embedded %v", rv.Type().Field(i).Name, r, l)
+		}
 	}
 }
 

@@ -393,8 +393,8 @@ func serveReq(db *DB, txns map[uint64]*Txn, nextTxn *uint64, req *wireReq) (wire
 		txns[*nextTxn] = t
 		return wireResp{Txn: *nextTxn, TS: t.SnapshotTS()}, nil
 	case opStats:
-		blob, err := repl.EncodeGob(db.Stats())
-		return wireResp{Stats: string(blob)}, err
+		st := db.Stats()
+		return wireResp{Stats: &st}, nil
 	}
 	t := txns[req.Txn]
 	if t == nil {

@@ -1,110 +1,120 @@
 package ankerdb
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
-// Stats is a point-in-time snapshot of engine counters, the surface
-// later benchmarking PRs measure against.
+// Stats is a point-in-time snapshot of engine counters, and the one
+// description of the engine's metrics: each field's `metric` tag names
+// its Prometheus series once, as "name,kind[,option]", with its help
+// text beside it. Kinds: counter, gauge (bools render 0/1), seconds (a
+// Duration rendered as a seconds counter), latency (a Hist of
+// durations) and counts (a Hist of counts). Options: strategy labels
+// the series with the snapshot strategy; repl renders it only while
+// serving, replicating or promoted. `metric:"-"` marks a field with no
+// series of its own. MetricsText walks the tags, and a remote session's
+// Stats body walks every exported leaf (binenc.Struct).
 type Stats struct {
-	Strategy string // snapshot strategy name
+	Strategy string `metric:"-"` // snapshot strategy (a Kind; ankerdb_info's strategy label)
 
 	// Transaction pipeline.
-	Commits      uint64 // OLTP commits that materialised writes
-	EmptyCommits uint64 // read-only OLTP commits
-	Aborts       uint64 // explicit aborts + validation failures
-	Conflicts    uint64 // precision-locking validation failures
-	OLTPBegun    uint64
-	OLAPBegun    uint64
-	ActiveTxns   int // running OLTP transactions
+	Commits      uint64 `metric:"ankerdb_txn_commits_total,counter" help:"OLTP commits that materialised writes"`
+	EmptyCommits uint64 `metric:"ankerdb_txn_empty_commits_total,counter" help:"read-only OLTP commits"`
+	Aborts       uint64 `metric:"ankerdb_txn_aborts_total,counter" help:"explicit aborts plus validation failures"`
+	Conflicts    uint64 `metric:"ankerdb_txn_conflicts_total,counter" help:"precision-locking validation failures"`
+	OLTPBegun    uint64 `metric:"ankerdb_txn_oltp_begun_total,counter" help:"OLTP transactions begun"`
+	OLAPBegun    uint64 `metric:"ankerdb_txn_olap_begun_total,counter" help:"OLAP transactions begun"`
+	ActiveTxns   int    `metric:"ankerdb_txn_active,gauge" help:"running OLTP transactions"`
 
 	// Sharded group-commit pipeline.
-	CommitShards  int    // configured commit shards
-	CommitBatches uint64 // commit batches processed (group + cross-shard)
+	CommitShards int `metric:"-"` // configured commit shards (ankerdb_info's shards label)
+	// CommitBatches counts group batches plus cross-shard commits.
+	CommitBatches uint64 `metric:"ankerdb_commit_batches_total,counter" help:"commit batches processed"`
 	// CommitShardConflicts counts commits whose footprint spanned more
 	// than one shard and therefore serialized against multiple shard
 	// locks (cross-shard commits). It is a routing/contention measure,
 	// NOT a validation-failure count — see Conflicts for those.
-	CommitShardConflicts uint64
-	GroupCommitSize      GroupCommitHist // batch-size distribution
+	CommitShardConflicts uint64 `metric:"ankerdb_commit_cross_shard_total,counter" help:"commits spanning multiple shards"`
+	// GroupCommitSize is the distribution of batch sizes: how many
+	// transactions each shard-lock acquisition committed together
+	// (cross-shard commits are batches of one). Its Count equals
+	// CommitBatches and its SumNanos — a sum of sizes, not nanoseconds —
+	// equals Commits + Conflicts once writers quiesce.
+	GroupCommitSize Hist `metric:"ankerdb_group_commit_size,counts" help:"transactions per shard-lock acquisition"`
 
 	// Durability subsystem (zero without WithDurability).
-	Durable    bool
-	SyncPolicy string // "always", "groupOnly" or "none"
+	Durable    bool   `metric:"-"` // ankerdb_info's durable label
+	SyncPolicy string `metric:"-"` // "always", "groupOnly" or "none" (ankerdb_info's sync label)
 	// WALBytes/WALRecords count record bytes and commit + bulk-load
 	// records in the log: appended by this process plus the tail
 	// replayed by Open (a recovered tail counts toward auto-checkpoint
 	// growth like fresh appends, so it is checkpointed away instead of
 	// re-replayed forever).
-	WALBytes             uint64
-	WALRecords           uint64
-	FsyncCount           uint64 // fsyncs issued (segments, schema log, checkpoints)
-	CheckpointCount      uint64 // checkpoints completed by this process
-	AutoCheckpointCount  uint64 // of those, triggered by the scheduler
-	RecoveryReplayedTxns uint64 // WAL commit records re-applied by Open
+	WALBytes             uint64 `metric:"ankerdb_wal_bytes_total,counter" help:"WAL record bytes appended"`
+	WALRecords           uint64 `metric:"ankerdb_wal_records_total,counter" help:"WAL commit and bulk-load records appended"`
+	FsyncCount           uint64 `metric:"ankerdb_wal_fsyncs_total,counter" help:"fsyncs issued"` // segments, schema log, checkpoints
+	CheckpointCount      uint64 `metric:"ankerdb_checkpoints_total,counter" help:"checkpoints completed"`
+	AutoCheckpointCount  uint64 `metric:"ankerdb_auto_checkpoints_total,counter" help:"checkpoints triggered by the scheduler"`
+	RecoveryReplayedTxns uint64 `metric:"ankerdb_recovery_replayed_txns_total,counter" help:"WAL commit records replayed by Open"`
 	// RecoveryReplayedLoads is the number of bulk-load chunk records
 	// re-applied by Open.
-	RecoveryReplayedLoads uint64
+	RecoveryReplayedLoads uint64 `metric:"ankerdb_recovery_replayed_loads_total,counter" help:"bulk-load chunk records replayed by Open"`
 	// RecoveryPeakBytes is the high-water mark of transient buffer
 	// bytes the streaming recovery readers held during Open (bufio
 	// windows + the largest record frame): O(chunk) however large the
 	// checkpoint and segments are, and zero when Open replayed nothing.
-	RecoveryPeakBytes uint64
+	RecoveryPeakBytes uint64 `metric:"-"`
 
 	// Snapshot lifecycle.
-	SnapshotsCreated    uint64        // column snapshots created
-	SnapshotsReleased   uint64        // column snapshots released
-	ActiveSnapshots     uint64        // created - released
-	Generations         uint64        // snapshot generations started
-	SnapshotCreateTime  time.Duration // cumulative creation latency
-	LastSnapshotTime    time.Duration // latency of the newest snapshot
-	SnapshotStaleness   uint64        // commits the current generation lags
-	PinnedGenerations   int           // generations still referenced
-	CompletedCommitTS   uint64        // newest completed commit timestamp
-	VersionNodes        int64         // live version-chain nodes
-	VersionsGCed        int64         // version nodes removed by vacuum
-	Vacuums             uint64        // chain GC passes
-	RecentCommitRecords int           // retained validation records
+	SnapshotsCreated    uint64        `metric:"ankerdb_snapshots_created_total,counter" help:"column snapshots created"`
+	SnapshotsReleased   uint64        `metric:"ankerdb_snapshots_released_total,counter" help:"column snapshots released"`
+	ActiveSnapshots     uint64        `metric:"ankerdb_snapshots_active,gauge" help:"column snapshots currently held"` // created - released
+	Generations         uint64        `metric:"ankerdb_snapshot_generations_total,counter" help:"snapshot generations started"`
+	SnapshotCreateTime  time.Duration `metric:"-"` // cumulative creation latency
+	LastSnapshotTime    time.Duration `metric:"-"` // latency of the newest snapshot
+	SnapshotStaleness   uint64        `metric:"ankerdb_snapshot_staleness_commits,gauge" help:"commits the current generation lags"`
+	PinnedGenerations   int           `metric:"ankerdb_snapshot_pinned_generations,gauge" help:"generations still referenced"`
+	CompletedCommitTS   uint64        `metric:"-"` // newest completed commit timestamp
+	VersionNodes        int64         `metric:"ankerdb_version_nodes,gauge" help:"live version-chain nodes"`
+	VersionsGCed        int64         `metric:"ankerdb_versions_gced_total,counter" help:"version nodes removed by vacuum"`
+	Vacuums             uint64        `metric:"ankerdb_vacuums_total,counter" help:"vacuum passes"`
+	RecentCommitRecords int           `metric:"-"` // retained validation records
 
 	// Query engine.
-	QueriesRun uint64 // queries executed through Txn.Query / DB.Query
+	QueriesRun uint64 `metric:"ankerdb_queries_total,counter" help:"queries executed through the engine"` // Txn.Query / DB.Query
 	// ZoneMapSkippedChunks / ZoneMapScannedChunks count probe-scan
 	// blocks pruned by zone maps vs actually read, summed over queries:
 	// the measure of how much scan work predicate pushdown avoided.
-	ZoneMapSkippedChunks uint64
-	ZoneMapScannedChunks uint64
+	ZoneMapSkippedChunks uint64 `metric:"ankerdb_zone_blocks_skipped_total,counter" help:"probe blocks pruned by zone maps"`
+	ZoneMapScannedChunks uint64 `metric:"ankerdb_zone_blocks_scanned_total,counter" help:"probe blocks read"`
 
 	// Secondary indexes.
-	IndexProbes uint64 // index probes served (engine routing + Txn.Lookup/Filter)
+	IndexProbes uint64 `metric:"ankerdb_index_probes_total,counter" help:"secondary-index probes served"` // engine routing + Txn.Lookup/Filter
 	// IndexBackedQueries counts engine queries whose probe scan was
 	// replaced by an index probe (a subset of QueriesRun).
-	IndexBackedQueries uint64
+	IndexBackedQueries uint64 `metric:"ankerdb_index_backed_queries_total,counter" help:"engine queries routed through an index"`
 	// IndexEntries counts live (not death-stamped) entries summed over
 	// every secondary index; IndexEntriesRaw additionally counts
 	// death-stamped entries Vacuum has not pruned yet. Raw minus live is
 	// the churn backlog — the gap that made EstimateRange over-estimate
 	// before it was live-scaled.
-	IndexEntries    int64
-	IndexEntriesRaw int64
+	IndexEntries    int64 `metric:"ankerdb_index_entries_live,gauge" help:"live secondary-index entries"`
+	IndexEntriesRaw int64 `metric:"ankerdb_index_entries_raw,gauge" help:"total secondary-index entries incl. death-stamped"`
 
 	// Growable tables (Txn.Insert / Txn.Delete).
-	RowInserts    uint64 // rows transactionally born (committed inserts)
-	RowDeletes    uint64 // rows transactionally killed (committed deletes)
-	RowsReclaimed uint64 // dead rows moved to free lists by Vacuum
-	RowsFree      int    // free-list slots currently awaiting reuse
-	TableCapacity int    // mapped row capacity summed over tables
+	RowInserts    uint64 `metric:"ankerdb_rows_inserted_total,counter" help:"rows transactionally born"`      // committed inserts
+	RowDeletes    uint64 `metric:"ankerdb_rows_deleted_total,counter" help:"rows transactionally killed"`     // committed deletes
+	RowsReclaimed uint64 `metric:"ankerdb_rows_reclaimed_total,counter" help:"dead rows moved to free lists"` // by Vacuum
+	RowsFree      int    `metric:"ankerdb_rows_free,gauge" help:"free-list slots awaiting reuse"`
+	TableCapacity int    `metric:"ankerdb_table_capacity_rows,gauge" help:"mapped row capacity over all tables"`
 
 	// Simulated virtual memory subsystem (COW page copies, faults,
 	// VMA bookkeeping, vm_snapshot calls, ...). SimKernelTime is
 	// VM.SimTime under the WithCostModel model: what those counts would
 	// cost a real kernel. It is never spent, so engine wall time holds
 	// none of it.
-	VM            VMStats
-	SimKernelTime time.Duration
-	MappedBytes   uint64 // virtual size of the simulated process
-	NumVMAs       int    // VMA count (Figure 5a's x-axis driver)
+	VM            VMStats       `metric:"-"`
+	SimKernelTime time.Duration `metric:"ankerdb_sim_kernel_seconds_total,seconds" help:"simulated kernel time: kernel event counts priced by the cost model"`
+	MappedBytes   uint64        `metric:"ankerdb_mapped_bytes,gauge" help:"virtual size of the simulated process"`
+	NumVMAs       int           `metric:"ankerdb_vmas,gauge" help:"VMA count (Figure 5a's x-axis)"`
 
 	// Phase-latency histograms (log2 nanosecond buckets — see Hist).
 	// Stats snapshots them before loading any counter, and every
@@ -114,15 +124,20 @@ type Stats struct {
 	// SnapshotCreateHist.Count == SnapshotsCreated,
 	// QueryExecHist.Count == QueriesRun,
 	// CommitValidateHist.Count == CommitBatches).
-	CommitLockWaitHist Hist // contended shard commit-lock waits (the uncontended TryLock path is unobserved)
-	CommitValidateHist Hist // precision-locking validation, one observation per batch
-	CommitInstallHist  Hist // write materialisation, one observation per batch
-	CommitFsyncHist    Hist // WAL append+sync, per batch that logged records
-	SnapshotCreateHist Hist // column snapshot creation (Fig 5's y-axis, per strategy)
-	QueryExecHist      Hist // Query.Run end-to-end execution
-	CheckpointHist     Hist // checkpoint duration
-	RecoveryReplayHist Hist // Open-time replay (at most one observation)
-	VacuumHist         Hist // vacuum passes (explicit + commit-path)
+	// The uncontended TryLock path is unobserved.
+	CommitLockWaitHist Hist `metric:"ankerdb_commit_lock_wait_seconds,latency" help:"contended shard commit lock acquisition wait"`
+	CommitValidateHist Hist `metric:"ankerdb_commit_validate_seconds,latency" help:"per-batch precision-locking validation"`
+	CommitInstallHist  Hist `metric:"ankerdb_commit_install_seconds,latency" help:"per-batch write materialisation"`
+	// One observation per batch that logged records.
+	CommitFsyncHist Hist `metric:"ankerdb_commit_fsync_seconds,latency" help:"per-batch WAL append and sync"`
+	// Fig 5's y-axis, labelled by strategy.
+	SnapshotCreateHist Hist `metric:"ankerdb_snapshot_create_seconds,latency,strategy" help:"column snapshot creation latency by strategy"`
+	QueryExecHist      Hist `metric:"ankerdb_query_exec_seconds,latency" help:"query end-to-end execution latency"`
+	CheckpointHist     Hist `metric:"ankerdb_checkpoint_seconds,latency" help:"checkpoint duration"`
+	// At most one observation.
+	RecoveryReplayHist Hist `metric:"ankerdb_recovery_replay_seconds,latency" help:"Open-time recovery replay duration"`
+	// Explicit and commit-path passes.
+	VacuumHist Hist `metric:"ankerdb_vacuum_seconds,latency" help:"vacuum pass duration"`
 
 	// Replication & serving tier (zero without WithServeAddr /
 	// WithReplicaOf). Primary side: connected replica feeds, stream
@@ -131,70 +146,27 @@ type Stats struct {
 	// completed commit count beyond the replica's newest acknowledged
 	// applied timestamp. ReplicaLagHist buckets are commit COUNTS (log2),
 	// not nanoseconds, one observation per ack received.
-	Serving            bool
-	ConnectedReplicas  int
-	ReplFramesStreamed uint64
-	ReplSubscriberDrop uint64
-	ReplWatermark      uint64
-	MaxReplicaLag      uint64
-	ReplicaLagHist     Hist
+	Serving            bool   `metric:"-"`
+	ConnectedReplicas  int    `metric:"ankerdb_repl_connected_replicas,gauge,repl" help:"replica feeds currently connected"`
+	ReplFramesStreamed uint64 `metric:"ankerdb_repl_frames_streamed_total,counter,repl" help:"stream records released to replica feeds"`
+	ReplSubscriberDrop uint64 `metric:"ankerdb_repl_subscriber_drops_total,counter,repl" help:"replica feeds dropped for falling behind"`
+	ReplWatermark      uint64 `metric:"ankerdb_repl_watermark,gauge,repl" help:"published completion watermark"`
+	MaxReplicaLag      uint64 `metric:"ankerdb_repl_max_lag_commits,gauge,repl" help:"worst connected-replica lag in committed timestamps"`
+	ReplicaLagHist     Hist   `metric:"ankerdb_repl_lag_commits,counts,repl" help:"replica lag per ack, in committed timestamps"`
 
 	// Replica side: whether this DB replicates (until Promote), the
 	// connector's health, and the staleness bound — ReplicaAppliedTS is
 	// the newest commit timestamp applied, ReplicaSourceTS the newest
 	// watermark the primary advertised; reads see everything at or below
 	// CompletedCommitTS, which trails ReplicaSourceTS by the apply lag.
-	Replica           bool
-	Promoted          bool
-	ReplicaConnected  bool
-	ReplicaAppliedTS  uint64
-	ReplicaSourceTS   uint64
-	ReplicaFrames     uint64
-	ReplicaReconnects uint64
-	ReplicaBootstraps uint64
-}
-
-// GroupCommitHist is a log2 histogram of commit batch sizes: how many
-// transactions each shard-lock acquisition committed together. Bucket
-// upper bounds are GroupCommitBucketBounds (1, 2, 4, 8, 16, 32, 64;
-// the final bucket is unbounded). Cross-shard commits count as batches
-// of one.
-type GroupCommitHist struct {
-	Buckets [8]uint64
-}
-
-// GroupCommitBucketBounds holds the inclusive upper bound of each
-// bounded GroupCommitHist bucket: Buckets[i] counts batches of up to
-// GroupCommitBucketBounds[i] transactions (and more than the previous
-// bound). The last histogram bucket has no bound here — it counts
-// batches larger than the final entry.
-var GroupCommitBucketBounds = [7]int{1, 2, 4, 8, 16, 32, 64}
-
-// Observations returns the total number of batches recorded.
-func (h GroupCommitHist) Observations() uint64 {
-	var n uint64
-	for _, b := range h.Buckets {
-		n += b
-	}
-	return n
-}
-
-// String renders the distribution with its bucket bounds, eliding
-// empty buckets: e.g. "batches=12 <=1:4 <=4:6 >64:2".
-func (h GroupCommitHist) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "batches=%d", h.Observations())
-	for i, n := range h.Buckets {
-		if n == 0 {
-			continue
-		}
-		if i < len(GroupCommitBucketBounds) {
-			fmt.Fprintf(&b, " <=%d:%d", GroupCommitBucketBounds[i], n)
-		} else {
-			fmt.Fprintf(&b, " >%d:%d", GroupCommitBucketBounds[len(GroupCommitBucketBounds)-1], n)
-		}
-	}
-	return b.String()
+	Replica           bool   `metric:"ankerdb_repl_is_replica,gauge,repl" help:"1 while replicating (0 after Promote)"`
+	Promoted          bool   `metric:"ankerdb_repl_promoted,gauge,repl" help:"1 once promoted to primary"`
+	ReplicaConnected  bool   `metric:"ankerdb_replica_connected,gauge,repl" help:"1 while the connector holds a live stream"`
+	ReplicaAppliedTS  uint64 `metric:"ankerdb_replica_applied_ts,gauge,repl" help:"newest commit timestamp applied from the stream"`
+	ReplicaSourceTS   uint64 `metric:"ankerdb_replica_source_ts,gauge,repl" help:"newest watermark the primary advertised"`
+	ReplicaFrames     uint64 `metric:"ankerdb_replica_frames_total,counter,repl" help:"stream records applied"`
+	ReplicaReconnects uint64 `metric:"ankerdb_replica_reconnects_total,counter,repl" help:"stream reconnections"`
+	ReplicaBootstraps uint64 `metric:"ankerdb_replica_bootstraps_total,counter,repl" help:"snapshot bootstraps completed"`
 }
 
 // Stats returns current engine counters.
@@ -214,6 +186,7 @@ func (db *DB) Stats() Stats {
 	recoveryH := tel.recovery.Snapshot()
 	vacuumH := tel.vacuum.Snapshot()
 	replLagH := tel.replLag.Snapshot()
+	groupSizeH := tel.groupSize.Snapshot()
 
 	m := db.snaps
 	// released first: every release is preceded by a create, so loading
@@ -231,6 +204,8 @@ func (db *DB) Stats() Stats {
 		CheckpointHist:     checkpointH,
 		RecoveryReplayHist: recoveryH,
 		VacuumHist:         vacuumH,
+		GroupCommitSize:    groupSizeH,
+		ReplicaLagHist:     replLagH,
 
 		Strategy:     db.strat.Name(),
 		Commits:      db.st.commits.Load(),
@@ -284,9 +259,6 @@ func (db *DB) Stats() Stats {
 		s.FsyncCount = db.wal.Fsyncs()
 		s.RecoveryPeakBytes = db.wal.RecoveryPeakBytes()
 	}
-	for i := range db.st.groupSizes {
-		s.GroupCommitSize.Buckets[i] = db.st.groupSizes[i].Load()
-	}
 	for _, sh := range db.shards {
 		s.RecentCommitRecords += sh.recent.Len()
 	}
@@ -302,7 +274,6 @@ func (db *DB) Stats() Stats {
 	s.ConnectedReplicas = len(db.peers)
 	db.peerMu.Unlock()
 	s.MaxReplicaLag = db.maxReplicaLag()
-	s.ReplicaLagHist = replLagH
 	if r := db.rep; r != nil {
 		s.Replica = !db.promoted.Load()
 		s.Promoted = db.promoted.Load()

@@ -369,8 +369,11 @@ func TestStressShardedCommitIsolation(t *testing.T) {
 				if st.CommitBatches == 0 {
 					t.Fatal("no commit batches recorded")
 				}
-				if got := st.GroupCommitSize.Observations(); got != st.CommitBatches {
+				if got := st.GroupCommitSize.Count; got != st.CommitBatches {
 					t.Fatalf("histogram observations = %d, batches = %d", got, st.CommitBatches)
+				}
+				if got, want := st.GroupCommitSize.SumNanos, st.Commits+st.Conflicts; got != want {
+					t.Fatalf("batch sizes sum to %d, commits + conflicts = %d", got, want)
 				}
 				if shardCount == 1 && st.CommitShardConflicts != 0 {
 					t.Fatalf("CommitShardConflicts = %d with a single shard", st.CommitShardConflicts)

@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,11 +67,11 @@ type dbTelemetry struct {
 	recovery   telemetry.Histogram // Open-time replay (one observation)
 	vacuum     telemetry.Histogram // explicit + commit-path vacuum passes
 
-	// replLag observes, at each replica ack the primary receives, how
-	// many committed timestamps the replica trails by — a COUNT, not a
-	// duration; it rides the duration histogram type for its power-of-
-	// two buckets and is rendered with raw bounds.
-	replLag telemetry.Histogram
+	// Count histograms (telemetry.Counts): the size of each commit
+	// batch, and at each replica ack the primary receives how many
+	// committed timestamps the replica trails by.
+	groupSize telemetry.Histogram
+	replLag   telemetry.Histogram
 
 	queryIDs atomic.Uint64
 
@@ -141,146 +143,95 @@ func (db *DB) TraceDump(w io.Writer) {
 
 // MetricsText renders every engine counter and phase histogram in
 // Prometheus text exposition format under the stable ankerdb_* name
-// schema (counters end in _total, histograms in _seconds). The same
-// bytes are served at /metrics by WithMetricsServer.
+// schema (counters end in _total, histograms in _seconds). It walks the
+// metric tags of Stats (see Stats); only ankerdb_info, whose labels are
+// Stats fields, and ankerdb_trace_events_total, which is not one, are
+// written by hand. The same bytes are served at /metrics by
+// WithMetricsServer.
 func (db *DB) MetricsText(w io.Writer) error {
 	s := db.Stats()
-
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	hist := func(name, help, labels string, h Hist) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		h.WriteProm(w, name, labels)
-	}
-
 	fmt.Fprintf(w, "# HELP ankerdb_info engine configuration\n# TYPE ankerdb_info gauge\n")
 	fmt.Fprintf(w, "ankerdb_info{strategy=%q,sync=%q,durable=\"%v\",shards=\"%d\"} 1\n",
 		telemetry.PromEscape(s.Strategy), telemetry.PromEscape(s.SyncPolicy), s.Durable, s.CommitShards)
-
-	// Transaction pipeline.
-	counter("ankerdb_txn_commits_total", "OLTP commits that materialised writes", s.Commits)
-	counter("ankerdb_txn_empty_commits_total", "read-only OLTP commits", s.EmptyCommits)
-	counter("ankerdb_txn_aborts_total", "explicit aborts plus validation failures", s.Aborts)
-	counter("ankerdb_txn_conflicts_total", "precision-locking validation failures", s.Conflicts)
-	counter("ankerdb_txn_oltp_begun_total", "OLTP transactions begun", s.OLTPBegun)
-	counter("ankerdb_txn_olap_begun_total", "OLAP transactions begun", s.OLAPBegun)
-	gauge("ankerdb_txn_active", "running OLTP transactions", int64(s.ActiveTxns))
-
-	// Group commit.
-	counter("ankerdb_commit_batches_total", "commit batches processed", s.CommitBatches)
-	counter("ankerdb_commit_cross_shard_total", "commits spanning multiple shards", s.CommitShardConflicts)
-	fmt.Fprintf(w, "# HELP ankerdb_group_commit_size transactions per shard-lock acquisition\n")
-	fmt.Fprintf(w, "# TYPE ankerdb_group_commit_size histogram\n")
-	var cum uint64
-	for i, b := range s.GroupCommitSize.Buckets {
-		cum += b
-		if i == len(s.GroupCommitSize.Buckets)-1 {
-			fmt.Fprintf(w, "ankerdb_group_commit_size_bucket{le=\"+Inf\"} %d\n", cum)
-		} else {
-			fmt.Fprintf(w, "ankerdb_group_commit_size_bucket{le=\"%d\"} %d\n", GroupCommitBucketBounds[i], cum)
+	replicating := s.Serving || s.Replica || s.Promoted
+	v := reflect.ValueOf(s)
+	for _, m := range statsMetrics {
+		if m.repl && !replicating {
+			continue
 		}
-	}
-	// Batch sizes sum to processed requests: committed plus conflicted.
-	fmt.Fprintf(w, "ankerdb_group_commit_size_sum %d\n", s.Commits+s.Conflicts)
-	fmt.Fprintf(w, "ankerdb_group_commit_size_count %d\n", s.GroupCommitSize.Observations())
-
-	// Commit phase latency.
-	hist("ankerdb_commit_lock_wait_seconds", "contended shard commit lock acquisition wait", "", s.CommitLockWaitHist)
-	hist("ankerdb_commit_validate_seconds", "per-batch precision-locking validation", "", s.CommitValidateHist)
-	hist("ankerdb_commit_install_seconds", "per-batch write materialisation", "", s.CommitInstallHist)
-	hist("ankerdb_commit_fsync_seconds", "per-batch WAL append and sync", "", s.CommitFsyncHist)
-
-	// Durability.
-	counter("ankerdb_wal_bytes_total", "WAL record bytes appended", s.WALBytes)
-	counter("ankerdb_wal_records_total", "WAL commit and bulk-load records appended", s.WALRecords)
-	counter("ankerdb_wal_fsyncs_total", "fsyncs issued", s.FsyncCount)
-	counter("ankerdb_checkpoints_total", "checkpoints completed", s.CheckpointCount)
-	counter("ankerdb_auto_checkpoints_total", "checkpoints triggered by the scheduler", s.AutoCheckpointCount)
-	counter("ankerdb_recovery_replayed_txns_total", "WAL commit records replayed by Open", s.RecoveryReplayedTxns)
-	counter("ankerdb_recovery_replayed_loads_total", "bulk-load chunk records replayed by Open", s.RecoveryReplayedLoads)
-	hist("ankerdb_checkpoint_seconds", "checkpoint duration", "", s.CheckpointHist)
-	hist("ankerdb_recovery_replay_seconds", "Open-time recovery replay duration", "", s.RecoveryReplayHist)
-
-	// Snapshot lifecycle. The creation histogram is labeled by
-	// strategy, the paper's Figure 5 comparison axis.
-	counter("ankerdb_snapshots_created_total", "column snapshots created", s.SnapshotsCreated)
-	counter("ankerdb_snapshots_released_total", "column snapshots released", s.SnapshotsReleased)
-	gauge("ankerdb_snapshots_active", "column snapshots currently held", int64(s.ActiveSnapshots))
-	counter("ankerdb_snapshot_generations_total", "snapshot generations started", s.Generations)
-	gauge("ankerdb_snapshot_staleness_commits", "commits the current generation lags", int64(s.SnapshotStaleness))
-	gauge("ankerdb_snapshot_pinned_generations", "generations still referenced", int64(s.PinnedGenerations))
-	hist("ankerdb_snapshot_create_seconds", "column snapshot creation latency by strategy", fmt.Sprintf("strategy=%q", telemetry.PromEscape(s.Strategy)), s.SnapshotCreateHist)
-
-	// Query engine.
-	counter("ankerdb_queries_total", "queries executed through the engine", s.QueriesRun)
-	counter("ankerdb_zone_blocks_skipped_total", "probe blocks pruned by zone maps", s.ZoneMapSkippedChunks)
-	counter("ankerdb_zone_blocks_scanned_total", "probe blocks read", s.ZoneMapScannedChunks)
-	counter("ankerdb_index_probes_total", "secondary-index probes served", s.IndexProbes)
-	counter("ankerdb_index_backed_queries_total", "engine queries routed through an index", s.IndexBackedQueries)
-	hist("ankerdb_query_exec_seconds", "query end-to-end execution latency", "", s.QueryExecHist)
-
-	// Secondary indexes and tables.
-	gauge("ankerdb_index_entries_live", "live secondary-index entries", s.IndexEntries)
-	gauge("ankerdb_index_entries_raw", "total secondary-index entries incl. death-stamped", s.IndexEntriesRaw)
-	counter("ankerdb_rows_inserted_total", "rows transactionally born", s.RowInserts)
-	counter("ankerdb_rows_deleted_total", "rows transactionally killed", s.RowDeletes)
-	counter("ankerdb_rows_reclaimed_total", "dead rows moved to free lists", s.RowsReclaimed)
-	gauge("ankerdb_rows_free", "free-list slots awaiting reuse", int64(s.RowsFree))
-	gauge("ankerdb_table_capacity_rows", "mapped row capacity over all tables", int64(s.TableCapacity))
-	gauge("ankerdb_version_nodes", "live version-chain nodes", s.VersionNodes)
-	counter("ankerdb_versions_gced_total", "version nodes removed by vacuum", uint64(s.VersionsGCed))
-	counter("ankerdb_vacuums_total", "vacuum passes", s.Vacuums)
-	hist("ankerdb_vacuum_seconds", "vacuum pass duration", "", s.VacuumHist)
-
-	// Replication & serving tier. The lag histogram counts COMMITS a
-	// replica trails by (one observation per ack) — rendered by hand
-	// with raw power-of-two bounds, because WriteProm's bounds are
-	// nanosecond-specific.
-	if s.Serving || s.Replica || s.Promoted {
-		gauge("ankerdb_repl_connected_replicas", "replica feeds currently connected", int64(s.ConnectedReplicas))
-		counter("ankerdb_repl_frames_streamed_total", "stream records released to replica feeds", s.ReplFramesStreamed)
-		counter("ankerdb_repl_subscriber_drops_total", "replica feeds dropped for falling behind", s.ReplSubscriberDrop)
-		gauge("ankerdb_repl_watermark", "published completion watermark", int64(s.ReplWatermark))
-		gauge("ankerdb_repl_max_lag_commits", "worst connected-replica lag in committed timestamps", int64(s.MaxReplicaLag))
-		fmt.Fprintf(w, "# HELP ankerdb_repl_lag_commits replica lag per ack, in committed timestamps\n")
-		fmt.Fprintf(w, "# TYPE ankerdb_repl_lag_commits histogram\n")
-		lh := s.ReplicaLagHist
-		var lcum uint64
-		ltop := 0
-		for i, b := range lh.Buckets {
-			if b > 0 {
-				ltop = i
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, promTypes[m.kind])
+		f := v.Field(m.field)
+		switch m.kind {
+		case "seconds":
+			fmt.Fprintf(w, "%s %g\n", m.name, time.Duration(f.Int()).Seconds())
+		case "latency", "counts":
+			unit, labels := telemetry.Seconds, ""
+			if m.kind == "counts" {
+				unit = telemetry.Counts
+			}
+			if m.byStrategy {
+				labels = fmt.Sprintf("strategy=%q", telemetry.PromEscape(s.Strategy))
+			}
+			f.Interface().(Hist).WriteProm(w, m.name, labels, unit)
+		default:
+			if f.Kind() == reflect.Bool {
+				fmt.Fprintf(w, "%s %d\n", m.name, b2i(f.Bool()))
+			} else {
+				fmt.Fprintf(w, "%s %v\n", m.name, f.Interface())
 			}
 		}
-		for i := 0; i <= ltop && i < len(lh.Buckets)-1; i++ {
-			lcum += lh.Buckets[i]
-			fmt.Fprintf(w, "ankerdb_repl_lag_commits_bucket{le=\"%d\"} %d\n", uint64(1)<<uint(i)-1, lcum)
-		}
-		fmt.Fprintf(w, "ankerdb_repl_lag_commits_bucket{le=\"+Inf\"} %d\n", lh.Count)
-		fmt.Fprintf(w, "ankerdb_repl_lag_commits_sum %d\n", lh.SumNanos)
-		fmt.Fprintf(w, "ankerdb_repl_lag_commits_count %d\n", lh.Count)
-		gauge("ankerdb_repl_is_replica", "1 while replicating (0 after Promote)", b2i(s.Replica))
-		gauge("ankerdb_repl_promoted", "1 once promoted to primary", b2i(s.Promoted))
-		gauge("ankerdb_replica_connected", "1 while the connector holds a live stream", b2i(s.ReplicaConnected))
-		gauge("ankerdb_replica_applied_ts", "newest commit timestamp applied from the stream", int64(s.ReplicaAppliedTS))
-		gauge("ankerdb_replica_source_ts", "newest watermark the primary advertised", int64(s.ReplicaSourceTS))
-		counter("ankerdb_replica_frames_total", "stream records applied", s.ReplicaFrames)
-		counter("ankerdb_replica_reconnects_total", "stream reconnections", s.ReplicaReconnects)
-		counter("ankerdb_replica_bootstraps_total", "snapshot bootstraps completed", s.ReplicaBootstraps)
 	}
-
-	// Simulated virtual memory.
-	gauge("ankerdb_mapped_bytes", "virtual size of the simulated process", int64(s.MappedBytes))
-	gauge("ankerdb_vmas", "VMA count (Figure 5a's x-axis)", int64(s.NumVMAs))
-	fmt.Fprintf(w, "# HELP ankerdb_sim_kernel_seconds_total simulated kernel time: kernel event counts priced by the cost model\n")
-	fmt.Fprintf(w, "# TYPE ankerdb_sim_kernel_seconds_total counter\nankerdb_sim_kernel_seconds_total %g\n", s.SimKernelTime.Seconds())
-
-	counter("ankerdb_trace_events_total", "flight-recorder events recorded", db.tel.rec.Seq())
+	fmt.Fprintf(w, "# HELP ankerdb_trace_events_total flight-recorder events recorded\n# TYPE ankerdb_trace_events_total counter\nankerdb_trace_events_total %d\n", db.tel.rec.Seq())
 	return nil
+}
+
+// promTypes maps each metric kind a Stats tag may name to the
+// Prometheus type it renders as.
+var promTypes = map[string]string{
+	"counter": "counter",
+	"gauge":   "gauge",
+	"seconds": "counter",
+	"latency": "histogram",
+	"counts":  "histogram",
+}
+
+// statsMetric is one Stats field's metric tag, parsed (see Stats).
+type statsMetric struct {
+	field            int
+	name, kind, help string
+	repl, byStrategy bool
+}
+
+// statsMetrics lists the series MetricsText renders, in field order.
+var statsMetrics = parseStatsMetrics()
+
+func parseStatsMetrics() []statsMetric {
+	var out []statsMetric
+	t := reflect.TypeOf(Stats{})
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag := f.Tag.Get("metric")
+		if tag == "-" {
+			continue
+		}
+		parts := strings.Split(tag, ",")
+		if len(parts) < 2 || promTypes[parts[1]] == "" {
+			panic(fmt.Sprintf("ankerdb: Stats.%s: metric tag %q wants name,kind", f.Name, tag))
+		}
+		m := statsMetric{field: i, name: parts[0], kind: parts[1], help: f.Tag.Get("help")}
+		for _, opt := range parts[2:] {
+			switch opt {
+			case "repl":
+				m.repl = true
+			case "strategy":
+				m.byStrategy = true
+			default:
+				panic(fmt.Sprintf("ankerdb: Stats.%s: unknown metric option %q", f.Name, opt))
+			}
+		}
+		out = append(out, m)
+	}
+	return out
 }
 
 func b2i(b bool) int64 {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -161,7 +162,7 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 		"ankerdb_commit_batches_total":          s.CommitBatches,
 		"ankerdb_commit_validate_seconds_count": s.CommitBatches,
 		"ankerdb_commit_install_seconds_count":  s.CommitInstallHist.Count,
-		"ankerdb_group_commit_size_count":       s.GroupCommitSize.Observations(),
+		"ankerdb_group_commit_size_count":       s.GroupCommitSize.Count,
 		"ankerdb_group_commit_size_sum":         s.Commits + s.Conflicts,
 		"ankerdb_snapshots_created_total":       s.SnapshotsCreated,
 		"ankerdb_snapshot_create_seconds_count": s.SnapshotsCreated,
@@ -186,8 +187,8 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 		t.Fatalf("workload left no trace: commits=%d queries=%d snapshots=%d",
 			s.Commits, s.QueriesRun, s.SnapshotsCreated)
 	}
-	if got := s.GroupCommitSize.String(); !strings.HasPrefix(got, "batches=") {
-		t.Errorf("GroupCommitSize.String() = %q, want batches= prefix", got)
+	if got, want := s.GroupCommitSize.String(), fmt.Sprintf("n=%d ", s.CommitBatches); !strings.HasPrefix(got, want) {
+		t.Errorf("GroupCommitSize.String() = %q, want %q prefix", got, want)
 	}
 
 	// The companion endpoints serve.
@@ -298,14 +299,43 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
-func TestGroupCommitHistString(t *testing.T) {
-	var h ankerdb.GroupCommitHist
-	h.Buckets[0], h.Buckets[2], h.Buckets[7] = 4, 6, 2
-	if got, want := h.String(), "batches=12 <=1:4 <=4:6 >64:2"; got != want {
-		t.Errorf("String() = %q, want %q", got, want)
+// TestStatsDescribesEveryMetric: every Stats field carries a metric tag
+// ("-" when it has no series), and MetricsText renders each tagged name
+// exactly once as a HELP line — on a serving primary, where the
+// replication families render too. Only the two hand-written families
+// remain beside them.
+func TestStatsDescribesEveryMetric(t *testing.T) {
+	db := openTestDB(t, ankerdb.VMSnap, ankerdb.WithDurability(t.TempDir()), ankerdb.WithServeAddr("127.0.0.1:0"))
+	defer db.Close()
+	var text strings.Builder
+	if err := db.MetricsText(&text); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := (ankerdb.GroupCommitHist{}).String(), "batches=0"; got != want {
-		t.Errorf("empty String() = %q, want %q", got, want)
+	help := map[string]int{}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[0] == "#" && f[1] == "HELP" {
+			help[f[2]]++
+		}
+	}
+	st := reflect.TypeOf(ankerdb.Stats{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		tag, ok := f.Tag.Lookup("metric")
+		if !ok {
+			t.Errorf("Stats.%s has no metric tag", f.Name)
+			continue
+		}
+		if tag == "-" {
+			continue
+		}
+		name := strings.Split(tag, ",")[0]
+		if help[name] != 1 {
+			t.Errorf("Stats.%s: %s has %d HELP lines, want 1", f.Name, name, help[name])
+		}
+		delete(help, name)
+	}
+	if len(help) != 2 || help["ankerdb_info"] != 1 || help["ankerdb_trace_events_total"] != 1 {
+		t.Errorf("HELP lines beside the tagged families: %v, want ankerdb_info and ankerdb_trace_events_total", help)
 	}
 }
 
@@ -322,6 +352,7 @@ func checkStatsInvariants(t *testing.T, s *ankerdb.Stats) {
 		"CommitValidateHist <= CommitBatches":    {s.CommitValidateHist.Count, s.CommitBatches},
 		"CommitInstallHist <= CommitBatches":     {s.CommitInstallHist.Count, s.CommitBatches},
 		"CommitFsyncHist <= CommitBatches":       {s.CommitFsyncHist.Count, s.CommitBatches},
+		"GroupCommitSize <= CommitBatches":       {s.GroupCommitSize.Count, s.CommitBatches},
 		"VacuumHist <= Vacuums":                  {s.VacuumHist.Count, s.Vacuums},
 		"CheckpointHist <= CheckpointCount":      {s.CheckpointHist.Count, s.CheckpointCount},
 	} {
@@ -357,6 +388,7 @@ func histsOf(s *ankerdb.Stats) map[string]ankerdb.Hist {
 		"SnapshotCreateHist": s.SnapshotCreateHist,
 		"QueryExecHist":      s.QueryExecHist,
 		"VacuumHist":         s.VacuumHist,
+		"GroupCommitSize":    s.GroupCommitSize,
 	}
 }
 
@@ -450,10 +482,11 @@ func TestStatsInvariantsUnderLoad(t *testing.T) {
 				}
 			}
 			for name, pair := range map[string][2]uint64{
-				"SnapshotCreateHist.Count == SnapshotsCreated":    {s.SnapshotCreateHist.Count, s.SnapshotsCreated},
-				"QueryExecHist.Count == QueriesRun":               {s.QueryExecHist.Count, s.QueriesRun},
-				"CommitValidateHist.Count == CommitBatches":       {s.CommitValidateHist.Count, s.CommitBatches},
-				"GroupCommitSize.Observations() == CommitBatches": {s.GroupCommitSize.Observations(), s.CommitBatches},
+				"SnapshotCreateHist.Count == SnapshotsCreated":  {s.SnapshotCreateHist.Count, s.SnapshotsCreated},
+				"QueryExecHist.Count == QueriesRun":             {s.QueryExecHist.Count, s.QueriesRun},
+				"CommitValidateHist.Count == CommitBatches":     {s.CommitValidateHist.Count, s.CommitBatches},
+				"GroupCommitSize.Count == CommitBatches":        {s.GroupCommitSize.Count, s.CommitBatches},
+				"GroupCommitSize.SumNanos == Commits+Conflicts": {s.GroupCommitSize.SumNanos, s.Commits + s.Conflicts},
 			} {
 				if pair[0] != pair[1] {
 					t.Errorf("%s violated: %d != %d", name, pair[0], pair[1])

@@ -9,6 +9,7 @@ package ankerdb
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"net"
@@ -73,7 +74,67 @@ func wireRespCorpus() []wireResp {
 		{Op: opLookup},
 		{Op: opLookup, Rows: []int{0, math.MaxInt}},
 		{Op: opFilter, Rows: []int{1, 2, 3}},
-		{Op: opStats, Stats: "\x01\x02\xff"},
+		{Op: opStats, Stats: &Stats{}},
+		{Op: opStats, Stats: distinctStats()},
+	}
+}
+
+// distinctStats returns a Stats whose every exported leaf holds its own
+// non-zero value: signed integers negative, strings non-UTF-8.
+func distinctStats() *Stats {
+	var s Stats
+	n := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		n++
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if v.Type().Field(i).IsExported() {
+					fill(v.Field(i))
+				}
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.String:
+			v.SetString(fmt.Sprintf("\xff%d", n))
+		case reflect.Int, reflect.Int64:
+			v.SetInt(-int64(n) << 40)
+		case reflect.Uint64:
+			v.SetUint(uint64(n)<<40 | uint64(n))
+		default:
+			panic("distinctStats: unhandled leaf " + v.Type().String())
+		}
+	}
+	fill(reflect.ValueOf(&s).Elem())
+	return &s
+}
+
+// TestStatsBodyRoundTrip: the opStats body carries every leaf of Stats
+// (decode∘encode is the identity), and a body cut short or carrying
+// another leaf count is ErrBadFrame.
+func TestStatsBodyRoundTrip(t *testing.T) {
+	want := wireResp{Op: opStats, Stats: distinctStats()}
+	body := encodeMsg(&want)
+	var got wireResp
+	if err := repl.Decode(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*got.Stats, *want.Stats) {
+		t.Fatalf("decoded %+v\nwant %+v", *got.Stats, *want.Stats)
+	}
+	for _, bad := range [][]byte{
+		body[:len(body)-1],
+		body[:5],
+		append([]byte{opStats, body[1] + 1}, body[2:]...), // leaf count off by one
+	} {
+		if err := repl.Decode(bad, &wireResp{}); !errors.Is(err, repl.ErrBadFrame) {
+			t.Fatalf("%d-byte body: err %v, want ErrBadFrame", len(bad), err)
+		}
 	}
 }
 
@@ -151,7 +212,8 @@ func FuzzWireResp(f *testing.F) {
 	for _, r := range wireRespCorpus() {
 		f.Add(encodeMsg(&r))
 	}
-	f.Add([]byte{opScan, 0xff, 0xff, 0xff, 0x7f}) // 2G values claimed
+	f.Add([]byte{opScan, 0xff, 0xff, 0xff, 0x7f})  // 2G values claimed
+	f.Add([]byte{opStats, 0xff, 0xff, 0xff, 0xff}) // 4G Stats leaves claimed
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got, again wireResp
 		checkWireDecode(t, data, &got, &again)
