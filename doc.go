@@ -19,7 +19,9 @@
 //     group-by/aggregate) over one pinned snapshot generation, with
 //     per-block min/max zone maps pruning the scan below the filter
 //     and morsel-driven parallelism across GOMAXPROCS workers
-//     (deterministic results at any worker count)
+//     (deterministic results at any worker count) that return their P
+//     to the scheduler at every morsel, so a due OLTP write waits at
+//     most one morsel
 //   - internal/index: transactional secondary indexes (Hash for
 //     equality, Ordered for ranges) whose entries carry birth/death
 //     commit timestamps like the row-visibility arrays — maintained

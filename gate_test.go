@@ -81,7 +81,7 @@ func TestCommitAllocGate(t *testing.T) {
 func TestOLAPSumAllocGate(t *testing.T) {
 	db := openBenchDB(t, 1, ankerdb.WithSnapshotRefresh(16))
 	defer db.Close()
-	allocGate(t, 48, func() {
+	allocGate(t, 45, func() {
 		r, err := db.Begin(ankerdb.OLAP)
 		if err != nil {
 			t.Fatal(err)

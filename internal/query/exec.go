@@ -4,7 +4,10 @@
 // stream column-major batches through per-worker pipelines, morsels of
 // the probe table are dispatched to workers through one atomic
 // counter, and zone maps prune blocks whose value bounds cannot
-// satisfy the scan predicate before a single row is read. Results
+// satisfy the scan predicate before a single row is read. A worker
+// returns its P to the scheduler at every morsel boundary, so
+// goroutines that become due during a scan (an OLTP writer's timer)
+// wait at most one morsel, not the runtime's 10 ms preemption. Results
 // merge deterministically: the same query returns the same rows in
 // the same order whether it ran on one worker or many.
 package query
@@ -76,7 +79,7 @@ func (s *ExecStats) add(o *ExecStats) {
 }
 
 // opNames returns the operator labels of the bound pipeline, in the
-// order worker builds it. Every worker shares the same shape, so
+// order chain builds it. Every worker shares the same shape, so
 // per-worker Operators slices merge element-wise.
 func (p *plan) opNames() []string {
 	names := make([]string, 0, 3+len(p.joins))
@@ -558,18 +561,22 @@ func (p *plan) run() (*Result, error) {
 		}
 		wstats[wi].Operators = ops
 	}
-	errs := make([]error, workers)
+	pipes := make([]pipeline, workers)
 	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			errs[wi] = p.worker(&next, nM, morselRows, bound, &wstats[wi], aggsW[wi], perMorsel, lim)
-		}(wi)
+	wg.Add(workers)
+	for wi := range pipes {
+		w := &pipes[wi]
+		*w = pipeline{
+			op:  p.chain(&next, nM, morselRows, bound, &wstats[wi], lim),
+			agg: aggsW[wi], perMorsel: perMorsel, outSlots: p.outSlots, lim: lim,
+			next: &next, nM: nM, cur: -1, wg: &wg,
+		}
+		w.resume = w.run
+		go w.resume()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for i := range pipes {
+		if err := pipes[i].err; err != nil {
 			return nil, err
 		}
 	}
@@ -688,20 +695,12 @@ func (p *plan) isBareCount() bool {
 		len(p.aggs) == 1 && p.aggs[0].kind == AggCount
 }
 
-// worker runs one pipeline until the morsel dispatcher is exhausted.
-// agg is nil for non-aggregating queries, in which case output rows
-// land in perMorsel[morsel]; each morsel is claimed by exactly one
-// worker, so slots of perMorsel are never written concurrently.
-//
-// With a limiter, every operator passes empty batches through instead
-// of swallowing them, so the worker sees each claimed morsel surface
-// at least once and can report its output count — a morsel's batches
-// are consecutive within its worker, so a morsel-number change (or end
-// of stream) marks the previous morsel finished.
-func (p *plan) worker(next *atomic.Int64, nM, morselRows, bound int, st *ExecStats, agg *aggregator, perMorsel [][][]int64, lim *limiter) error {
-	// st.Operators is pre-sized by run to the pipeline shape, so the
-	// per-stage pointers stay valid for the whole execution. All the
-	// worker's counting wrappers come from one array.
+// chain builds one worker's operator chain: a morsel source, then the
+// scan filter, the joins and the post-join filter, each wrapped in a
+// countOp. st.Operators is pre-sized by run to the pipeline shape, so
+// the per-stage pointers stay valid for the whole execution. All the
+// worker's counting wrappers come from one array.
+func (p *plan) chain(next *atomic.Int64, nM, morselRows, bound int, st *ExecStats, lim *limiter) Op {
 	oi := 0
 	counts := make([]countOp, len(st.Operators))
 	wrap := func(op Op) Op {
@@ -717,51 +716,95 @@ func (p *plan) worker(next *atomic.Int64, nM, morselRows, bound int, st *ExecSta
 		op = newScanOp(p, next, nM, morselRows, bound, st, lim)
 	}
 	op = wrap(op)
-	passEmpty := lim != nil
 	if p.scanPred != nil {
-		op = wrap(&filterOp{child: op, pred: p.scanPred, passEmpty: passEmpty})
+		op = wrap(&filterOp{child: op, pred: p.scanPred})
 	}
 	for _, j := range p.joins {
-		op = wrap(&joinOp{child: op, j: j, cap: morselRows, passEmpty: passEmpty})
+		op = wrap(&joinOp{child: op, j: j, cap: morselRows})
 	}
 	if p.postPred != nil {
-		op = wrap(&filterOp{child: op, pred: p.postPred, passEmpty: passEmpty})
+		op = wrap(&filterOp{child: op, pred: p.postPred})
 	}
-	cur, cnt := -1, int64(0)
-	for {
-		b, err := op.Next()
-		if err != nil {
-			return err
+	return op
+}
+
+// pipeline is one worker: its operator chain plus the state that
+// outlives a batch. No goroutine owns it. run takes one batch through
+// the chain and then hands the pipeline to a fresh goroutine and
+// exits, so every morsel boundary returns the P to the scheduler. The
+// continuation lands in the same P's runnext, and the exiting
+// goroutine's schedule() first fires that P's expired timers, whose
+// woken goroutines then run ahead of it: a writer due during a scan
+// waits at most one morsel, not the 10 ms of forced preemption.
+// Yielding in place would park the worker on the global run queue
+// instead, which the scheduler checks before the network poller, so
+// remote sessions would starve behind the scan.
+//
+// agg is nil for non-aggregating queries, in which case output rows
+// land in perMorsel[morsel]; each morsel is claimed by exactly one
+// worker, so slots of perMorsel are never written concurrently.
+//
+// Every morsel the source reads surfaces as a batch, empty or not (a
+// morsel it prunes entirely is finished by the source), and filters
+// and joins pass empty batches through. With a limiter the pipeline
+// therefore sees each of its morsels and reports its output count: a
+// morsel's batches are consecutive within its pipeline, whichever
+// goroutine runs it, so a morsel-number change (or end of stream)
+// marks the previous morsel finished.
+type pipeline struct {
+	op        Op
+	agg       *aggregator
+	perMorsel [][][]int64
+	outSlots  []int
+	lim       *limiter
+	next      *atomic.Int64 // the shared dispatcher
+	nM        int
+	cur       int   // morsel whose rows cnt counts, -1 before the first
+	cnt       int64 // output rows of morsel cur so far
+
+	resume func() // run, bound once so that each handoff allocates nothing
+	err    error
+	wg     *sync.WaitGroup
+}
+
+func (w *pipeline) run() {
+	b, err := w.op.Next()
+	if err != nil {
+		// Exhaust the dispatcher: every sibling stops at its next claim.
+		w.next.Store(int64(w.nM))
+		w.err = err
+		w.wg.Done()
+		return
+	}
+	if b == nil {
+		if w.lim != nil && w.cur >= 0 {
+			w.lim.finish(w.cur, w.cnt)
 		}
-		if b == nil {
-			if lim != nil && cur >= 0 {
-				lim.finish(cur, cnt)
-			}
-			return nil
+		w.wg.Done()
+		return
+	}
+	if w.lim != nil && b.Morsel != w.cur {
+		if w.cur >= 0 {
+			w.lim.finish(w.cur, w.cnt)
 		}
-		if lim != nil && b.Morsel != cur {
-			if cur >= 0 {
-				lim.finish(cur, cnt)
-			}
-			cur, cnt = b.Morsel, 0
-		}
-		cnt += int64(b.N)
-		if b.N == 0 {
-			continue
-		}
-		if agg != nil {
-			agg.add(b)
-			continue
-		}
-		cols := perMorsel[b.Morsel]
+		w.cur, w.cnt = b.Morsel, 0
+	}
+	w.cnt += int64(b.N)
+	switch {
+	case b.N == 0:
+	case w.agg != nil:
+		w.agg.add(b)
+	default:
+		cols := w.perMorsel[b.Morsel]
 		if cols == nil {
-			cols = make([][]int64, len(p.outSlots))
+			cols = make([][]int64, len(w.outSlots))
 		}
-		for i, slot := range p.outSlots {
+		for i, slot := range w.outSlots {
 			cols[i] = append(cols[i], b.Cols[slot][:b.N]...)
 		}
-		perMorsel[b.Morsel] = cols
+		w.perMorsel[b.Morsel] = cols
 	}
+	go w.resume()
 }
 
 // buildJoin materializes a join's build side: scan the build table

@@ -98,11 +98,9 @@ func (s *scanOp) Next() (*Batch, error) {
 			n += k
 		}
 		if !scanned {
+			// Every block was pruned: the morsel surfaces no batch, so
+			// report it finished here for the limiter's watermark.
 			s.st.MorselsSkipped++
-		}
-		if n == 0 {
-			// The morsel surfaces no batch; report it finished here so
-			// the limiter's watermark can pass it.
 			if s.lim != nil {
 				s.lim.finish(m, 0)
 			}
@@ -220,42 +218,37 @@ func (s *indexScanOp) Next() (*Batch, error) {
 
 // filterOp drops the rows of its child's batches that fail the bound
 // predicate, compacting survivors in place (the child rewrites the
-// batch on its next Next call anyway). In passEmpty mode (limited
-// queries) a batch filtered down to nothing is returned empty instead
-// of swallowed, so the worker still observes its morsel.
+// batch on its next Next call anyway). A batch filtered down to
+// nothing is returned empty, not swallowed, so the worker still
+// observes its morsel.
 type filterOp struct {
-	child     Op
-	pred      *boundPred
-	passEmpty bool
+	child Op
+	pred  *boundPred
 }
 
 func (f *filterOp) Next() (*Batch, error) {
-	for {
-		b, err := f.child.Next()
-		if b == nil || err != nil {
-			return nil, err
+	b, err := f.child.Next()
+	if b == nil || err != nil {
+		return nil, err
+	}
+	var i int
+	get := func(slot int) int64 { return b.Cols[slot][i] }
+	n := 0
+	for i = 0; i < b.N; i++ {
+		if !f.pred.eval(get) {
+			continue
 		}
-		var i int
-		get := func(slot int) int64 { return b.Cols[slot][i] }
-		n := 0
-		for i = 0; i < b.N; i++ {
-			if !f.pred.eval(get) {
-				continue
-			}
-			if n != i {
-				for _, c := range b.Cols {
-					if c != nil {
-						c[n] = c[i]
-					}
+		if n != i {
+			for _, c := range b.Cols {
+				if c != nil {
+					c[n] = c[i]
 				}
 			}
-			n++
 		}
-		if n > 0 || f.passEmpty {
-			b.N = n
-			return b, nil
-		}
+		n++
 	}
+	b.N = n
+	return b, nil
 }
 
 // joinOp is the probe side of an equi hash join. The build side is
@@ -264,10 +257,9 @@ func (f *filterOp) Next() (*Batch, error) {
 // to its matches. Output batches never span child batches, so rows
 // stay grouped by morsel and result order stays deterministic.
 type joinOp struct {
-	child     Op
-	j         *joinPlan
-	cap       int
-	passEmpty bool // surface match-less batches (limited queries)
+	child Op
+	j     *joinPlan
+	cap   int
 
 	pending *Batch // current child batch, nil when drained
 	pi      int    // probe row cursor in pending
@@ -276,45 +268,42 @@ type joinOp struct {
 }
 
 func (o *joinOp) Next() (*Batch, error) {
-	o.out.N = 0
-	for {
-		if o.pending == nil {
-			b, err := o.child.Next()
-			if b == nil || err != nil {
-				return nil, err
-			}
-			o.ensureOut(b)
-			o.pending, o.pi, o.mi = b, 0, 0
+	if o.pending == nil {
+		b, err := o.child.Next()
+		if b == nil || err != nil {
+			return nil, err
 		}
-		b := o.pending
-		o.out.Morsel = b.Morsel
-		for o.pi < b.N {
-			matches := o.j.ht[b.Cols[o.j.probeSlot][o.pi]]
-			for o.mi < len(matches) {
-				if o.out.N == o.cap {
-					return &o.out, nil
-				}
-				r := matches[o.mi]
-				o.mi++
-				n := o.out.N
-				for si, c := range b.Cols {
-					if c != nil {
-						o.out.Cols[si][n] = c[o.pi]
-					}
-				}
-				for k, slot := range o.j.slots {
-					o.out.Cols[slot][n] = o.j.rows[k][r]
-				}
-				o.out.N = n + 1
-			}
-			o.mi = 0
-			o.pi++
-		}
-		o.pending = nil
-		if o.out.N > 0 || o.passEmpty {
-			return &o.out, nil
-		}
+		o.ensureOut(b)
+		o.pending, o.pi, o.mi = b, 0, 0
 	}
+	b, out := o.pending, &o.out
+	out.Morsel = b.Morsel
+	// The cursors stay in locals while rows are copied: the operators of
+	// all workers are allocated side by side, so a store into o per row
+	// would contend for cache lines with the neighbouring worker.
+	pi, mi, n := o.pi, o.mi, 0
+	for ; pi < b.N; pi++ {
+		matches := o.j.ht[b.Cols[o.j.probeSlot][pi]]
+		for ; mi < len(matches); mi++ {
+			if n == o.cap {
+				o.pi, o.mi, out.N = pi, mi, n
+				return out, nil
+			}
+			r := matches[mi]
+			for si, c := range b.Cols {
+				if c != nil {
+					out.Cols[si][n] = c[pi]
+				}
+			}
+			for k, slot := range o.j.slots {
+				out.Cols[slot][n] = o.j.rows[k][r]
+			}
+			n++
+		}
+		mi = 0
+	}
+	o.pending, out.N = nil, n
+	return out, nil
 }
 
 // ensureOut sizes the output batch: every slot the child produces plus

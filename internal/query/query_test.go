@@ -389,6 +389,37 @@ func TestJoinAggregateOnBuildColumn(t *testing.T) {
 	}
 }
 
+// TestJoinFanOutSplitsBatches: a probe row with several build matches
+// can overflow the join's output batch mid-row; the join resumes at the
+// next match, so every match appears once, in probe then build order.
+func TestJoinFanOutSplitsBatches(t *testing.T) {
+	m := ordersTable(40, 2) // 8-row morsels and output batches
+	m.deleted[9] = true
+	ids := []int64{0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4}
+	pay := make([]int64, len(ids))
+	for i := range pay {
+		pay[i] = int64(100 + i)
+	}
+	c := newMemTable("fan", 4).addInt("id", ids).addInt("pay", pay)
+	for _, morsels := range []int{1, 3} {
+		r := runQ(t, New(m).Join(c, "cust", "id").Select("k", "pay").Morsels(morsels))
+		var wantK, wantPay []int64
+		for k := 0; k < 40; k++ {
+			if k == 9 {
+				continue
+			}
+			for b, id := range ids {
+				if id == int64(k%5) {
+					wantK, wantPay = append(wantK, int64(k)), append(wantPay, pay[b])
+				}
+			}
+		}
+		if !reflect.DeepEqual(r.Ints(0), wantK) || !reflect.DeepEqual(r.Ints(1), wantPay) {
+			t.Fatalf("morsels=%d:\nk   %v\npay %v\nwant k   %v\nwant pay %v", morsels, r.Ints(0), r.Ints(1), wantK, wantPay)
+		}
+	}
+}
+
 func TestZonePruning(t *testing.T) {
 	m := ordersTable(256, 8) // k sorted: zones are tight
 	pruned := runQ(t, New(m).Where(Between("k", 100, 110)).Select("k").Morsels(2))
@@ -433,17 +464,46 @@ func TestUnknownZonesScanEverything(t *testing.T) {
 	}
 }
 
+// TestMorselEquivalence: every query shape returns exactly the
+// Morsels(1) result at any worker count, although each worker's
+// pipeline moves to a new goroutine at every morsel — including a
+// limited query, whose limiter needs a morsel's batches to stay
+// consecutive within its pipeline.
 func TestMorselEquivalence(t *testing.T) {
-	m := ordersTable(300, 8)
+	base := ordersTable(300, 8)
 	for i := 0; i < 300; i += 11 {
-		m.deleted[i] = true
+		base.deleted[i] = true
 	}
-	base := runQ(t, New(m).Where(Or(Eq("g", 1), Gt("v", 80))).Select("k", "v").Morsels(1))
-	for _, morsels := range []int{2, 4, 9} {
-		r := runQ(t, New(m).Where(Or(Eq("g", 1), Gt("v", 80))).Select("k", "v").Morsels(morsels))
-		if !reflect.DeepEqual(r.Ints(0), base.Ints(0)) || !reflect.DeepEqual(r.Ints(1), base.Ints(1)) {
-			t.Fatalf("morsels=%d result differs from morsels=1", morsels)
-		}
+	m := &idxMemTable{memTable: base, idxCol: 1} // index on "g"
+	shapes := []struct {
+		name  string
+		build func() *Builder
+	}{
+		{"filter", func() *Builder { return New(m).Where(Or(Eq("g", 1), Gt("v", 80))).Select("k", "v") }},
+		{"limit", func() *Builder { return New(m).Where(Gt("v", 50)).Select("k", RowID).Limit(37).WithoutPruning() }},
+		{"join", func() *Builder {
+			return New(m).Where(Gt("v", 30)).Join(custTable(), "cust", "id").Select("k", "credit", "region").WithoutPruning()
+		}},
+		{"index-eq", func() *Builder { return New(m).Where(Eq("g", 2)).Select("k", RowID) }},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			want := runQ(t, sh.build().Morsels(1))
+			if want.Len() == 0 {
+				t.Fatal("shape returns no rows")
+			}
+			for _, morsels := range []int{2, 4, 9} {
+				r := runQ(t, sh.build().Morsels(morsels))
+				if r.Stats.IndexRouted != (sh.name == "index-eq") {
+					t.Fatalf("morsels=%d: IndexRouted = %v", morsels, r.Stats.IndexRouted)
+				}
+				for c := range want.Columns() {
+					if !reflect.DeepEqual(r.Ints(c), want.Ints(c)) {
+						t.Fatalf("morsels=%d column %d differs from morsels=1:\ngot:  %v\nwant: %v", morsels, c, r.Ints(c), want.Ints(c))
+					}
+				}
+			}
+		})
 	}
 }
 
