@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-check cover cover-baseline fault-sweep fuzz-smoke
+.PHONY: build test test-race bench-check cover cover-baseline fault-sweep fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -15,9 +15,6 @@ test:
 
 test-race:
 	$(GO) test -race ./...
-
-bench:
-	$(GO) run ./cmd/ankerbench -quick
 
 # bench-check vets and short-tests the repo's benchmark (benchmark/, a
 # nested module compiled against ankerdb/internal/...): `go build ./...`

@@ -101,6 +101,10 @@ func (db *DB) Checkpoint() error {
 		return err
 	}
 	defer db.olapGate.RUnlock()
+	// The scheduler's growth baselines are read before the capture, so
+	// records appended while it runs count toward the next trigger: the
+	// truncation below keeps every record above g.ts.
+	baseBytes, baseRecords := db.wal.Bytes(), db.wal.Records()
 	g := db.snaps.acquireFresh()
 	defer db.snaps.release(g)
 	// Capture the table list only after the generation's timestamp is
@@ -124,8 +128,8 @@ func (db *DB) Checkpoint() error {
 	// Reset the scheduler's growth baselines: thresholds measure WAL
 	// growth since THIS checkpoint from now on. Written under ckptMu, so
 	// a manual checkpoint also pushes the automatic one out.
-	db.ckptBaseBytes.Store(db.wal.Bytes())
-	db.ckptBaseRecords.Store(db.wal.Records())
+	db.ckptBaseBytes.Store(baseBytes)
+	db.ckptBaseRecords.Store(baseRecords)
 	db.st.checkpoints.Add(1)
 	elapsed := time.Since(start)
 	db.tel.checkpoint.Observe(elapsed)
@@ -149,9 +153,9 @@ func (db *DB) autoCkptDue() bool {
 
 // kickAutoCkpt wakes the checkpoint scheduler if a growth threshold is
 // crossed. One buffered slot: checkpointing is idempotent, kicks
-// coalesce. Called after WAL appends (batch leaders and bulk loads),
-// outside any shard lock hold that matters — it is one atomic
-// comparison plus a non-blocking send.
+// coalesce. Called after WAL appends (batch leaders, bulk loads and
+// each stream frame a replica applies), outside any shard lock hold
+// that matters — it is one atomic comparison plus a non-blocking send.
 func (db *DB) kickAutoCkpt() {
 	if db.ckptKick == nil || !db.autoCkptDue() {
 		return

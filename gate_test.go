@@ -311,8 +311,7 @@ func TestVMSnapKernelWorkGate(t *testing.T) {
 
 // TestIndexRoutedEqScansNoBlocks: a 0.1%-selective Eq on a hash-indexed
 // column reads its 64 matches through the index and no block, although
-// every block holds every value (so zone maps cannot prune) — the
-// routing ankerbench -bench index used to fail loudly on.
+// every block holds every value (so zone maps cannot prune).
 func TestIndexRoutedEqScansNoBlocks(t *testing.T) {
 	const rows, values = 1 << 16, 1 << 10
 	db, err := ankerdb.Open(ankerdb.WithCostModel(ankerdb.ZeroCost),

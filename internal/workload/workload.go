@@ -1,12 +1,10 @@
 // Package workload generates deterministic mixed OLTP/OLAP operation
 // streams — the YCSB-style zipfian read/update mixes and the
 // new-order/payment-style multi-row transactions of the paper's
-// Section 5 evaluation. The same generators serve two masters:
-// ankerbench's -bench mixed sweep (throughput per profile) and the
-// fault-injection harness (a seeded stream it can replay op-for-op
-// against a recovered database). Everything downstream of the seed is
-// deterministic: a Gen with the same profile, seed and row domain
-// emits byte-identical op sequences.
+// Section 5 evaluation. The fault-injection harness drives them: a
+// seeded stream it can replay op-for-op against a recovered database.
+// Everything downstream of the seed is deterministic: a Gen with the
+// same profile, seed and row domain emits byte-identical op sequences.
 package workload
 
 import "math/rand"
@@ -30,16 +28,6 @@ const (
 
 // Profiles lists every defined profile, in a fixed order.
 var Profiles = []Profile{YCSBA, YCSBB, TPCC}
-
-// Valid reports whether p names a defined profile.
-func (p Profile) Valid() bool {
-	for _, q := range Profiles {
-		if p == q {
-			return true
-		}
-	}
-	return false
-}
 
 // Cell addresses one value for a point read.
 type Cell struct {

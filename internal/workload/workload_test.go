@@ -8,8 +8,8 @@ import (
 )
 
 // TestGenDeterministic: two generators with identical arguments emit
-// identical op streams — the property the fault harness's replay and
-// the seeded bench sweeps both stand on.
+// identical op streams — the property the fault harness's replay
+// stands on.
 func TestGenDeterministic(t *testing.T) {
 	cols := []string{"c0", "c1", "c2"}
 	for _, p := range Profiles {

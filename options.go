@@ -134,12 +134,6 @@ func WithCommitShards(n int) Option {
 	}
 }
 
-// AutoCommitShards returns the commit shard count selected when
-// WithCommitShards is omitted (or given n <= 0): GOMAXPROCS, the
-// parallelism actually available to the commit pipeline. Benchmarks
-// use it to label auto-sharded configurations.
-func AutoCommitShards() int { return runtime.GOMAXPROCS(0) }
-
 // WithInitialSchema creates the table at Open, before any transaction
 // can run. Equivalent to calling CreateTable immediately after Open.
 // With durability enabled, tables the recovered state already contains

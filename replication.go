@@ -724,6 +724,7 @@ func (r *replicaState) stream(c *repl.Conn) error {
 					// Failure poisons the log and surfaces through
 					// Stats/metrics; serving from memory stays correct.
 					_ = db.wal.AppendCommits(logShard, []wal.CommitRecord{rec})
+					db.kickAutoCkpt()
 				}
 			}
 			r.frames.Add(1)
@@ -734,6 +735,7 @@ func (r *replicaState) stream(c *repl.Conn) error {
 			}
 			if db.applyLoad(rec) && db.wal != nil {
 				_ = db.wal.AppendLoads(db.shardOf(mvcc.ColumnID{Table: rec.Table, Col: rec.Col}), []wal.LoadRecord{rec})
+				db.kickAutoCkpt()
 			}
 			r.frames.Add(1)
 		case repl.MsgSchema:

@@ -3,7 +3,9 @@ package ankerdb
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -328,6 +330,94 @@ func TestReplicaRestartRebootstraps(t *testing.T) {
 	if r2.Stats().ReplicaBootstraps == 0 {
 		t.Error("reopened replica did not bootstrap")
 	}
+}
+
+// TestReplicaAutoCheckpointBoundsWAL: a durable replica's size trigger
+// fires from the stream frames it applies, so while the primary commits
+// 3N more after the first N, the replica's directory grows by no more
+// than a constant. The WAL it keeps is the active segment (under one
+// threshold) and the segment the last checkpoint sealed: one threshold
+// plus the records applied while that checkpoint ran, which lie above
+// its timestamp and keep the segment on disk until the next one. The
+// third threshold is room for those records. Reopened on its own, the
+// directory reads what the primary committed.
+func TestReplicaAutoCheckpointBoundsWAL(t *testing.T) {
+	const n, threshold, rows = 4000, 64 << 10, 64
+	p := openPrimary(t, WithInitialSchema(NewSchema("kv").Int64("v").Build(), rows))
+	dir := t.TempDir()
+	r := openReplicaOf(t, p.ServeAddr(), WithDurability(dir), WithSyncPolicy(SyncNone), WithAutoCheckpoint(threshold, 0))
+	commit := func(from, to int) {
+		var ts uint64
+		for i := from; i < to; i++ {
+			ts = commitWrite(t, p, "kv", "v", i%rows, int64(i))
+		}
+		waitReplicaTS(t, r, ts)
+	}
+	// Sized between checkpoints, never while one swaps files.
+	size := func() int64 {
+		r.ckptMu.Lock()
+		defer r.ckptMu.Unlock()
+		return dirBytes(t, dir)
+	}
+	commit(0, n)
+	afterN := size()
+	commit(n, 4*n)
+	// The last threshold crossing checkpoints in the background.
+	deadline := time.Now().Add(10 * time.Second)
+	for got := size(); got > afterN+3*threshold; got = size() {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica directory holds %d bytes after %d commits and %d after %d, want <= %d + 3×%d (%d auto checkpoints)",
+				afterN, n, got, 4*n, afterN, threshold, r.Stats().AutoCheckpointCount)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if r.Stats().AutoCheckpointCount == 0 {
+		t.Fatal("replica ran no auto checkpoint")
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("close replica: %v", err)
+	}
+
+	reopened, err := Open(WithCostModel(ZeroCost), WithDurability(dir), WithSyncPolicy(SyncNone))
+	if err != nil {
+		t.Fatalf("reopen replica directory: %v", err)
+	}
+	defer reopened.Close()
+	scan := func(db *DB) []int64 {
+		tx, err := db.Begin(OLAP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Abort()
+		vs, err := tx.Scan("kv", "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vs
+	}
+	if got, want := scan(reopened), scan(p); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened replica reads %v, primary %v", got, want)
+	}
+}
+
+// dirBytes sums the sizes of the files under dir.
+func dirBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var n int64
+	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err == nil {
+			n += info.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestRemoteSession: the networked Session surface against a served
