@@ -47,6 +47,7 @@ func (c *column) installCell(row int, val int64, ts uint64, born bool) (old int6
 	if ix := c.idx.Load(); ix != nil && (born || old != val) {
 		if !born {
 			ix.Kill(old, row, ts)
+			c.tab.pending.Add(1)
 		}
 		ix.Add(val, row, ts)
 	}
@@ -102,6 +103,7 @@ func (db *DB) installRowOp(t *table, row int, del bool, ts uint64, deltas *table
 			}
 		}
 		t.st.Death().SetU(row, ts)
+		t.pending.Add(1)
 		db.st.rowDeletes.Add(1)
 		deltas.add(t, -1)
 	} else {
@@ -467,14 +469,16 @@ func (db *DB) rebuildDerived() (indexes int) {
 // dropAt tombstones t at timestamp ts: staged transactions against it
 // abort through the epoch guard, and its storage is released at once
 // when no running transaction or pinned generation can reach it (else
-// by the first Vacuum whose floor passes ts). Releasing the NAME is the
-// caller's business — DropTable must log inside the same db.mu section,
-// recovery releases names while it replays the schema log. The caller
-// holds every shard commit lock, or is single-threaded recovery.
+// by the reclaimer's first pass whose floor passes ts). Releasing the
+// NAME is the caller's business — DropTable must log inside the same
+// db.mu section, recovery releases names while it replays the schema
+// log. The caller holds every shard commit lock, or is single-threaded
+// recovery.
 func (db *DB) dropAt(t *table, ts uint64) {
 	t.ddlEpoch.Add(1)
 	t.dropTS = ts
 	t.dropped.Store(true)
+	t.pending.Add(1)
 	if db.gcFloor() > ts {
 		db.freeDropped(t)
 	}
@@ -485,10 +489,11 @@ func (db *DB) dropAt(t *table, ts uint64) {
 // derived state empty: allocator at slot zero, a visible count of zero
 // at every timestamp (the base cancels the initial rows; later inserts
 // append deltas on top), and empty indexes with their build floor at ts
-// — probes below it fall back to the scan path. Live callers reach it
-// with every commit at or below ts installed and none above, so that is
-// every row; in recovery rows born above ts have already replayed and
-// survive, and rebuildDerived supersedes the derived state set here.
+// — probes below it fall back to the scan path — and no pending row
+// work. Live callers reach it with every commit at or below ts
+// installed and none above, so that is every row; in recovery rows
+// born above ts have already replayed and survive, and rebuildDerived
+// supersedes the derived state set here.
 // The caller holds every shard commit lock, or is recovery.
 func (db *DB) truncateAt(t *table, ts uint64) {
 	t.ddlEpoch.Add(1)
@@ -498,6 +503,7 @@ func (db *DB) truncateAt(t *table, ts uint64) {
 	t.amu.Lock()
 	t.next, t.free = 0, nil
 	t.amu.Unlock()
+	t.pending.Store(0)
 	t.visLogReset(-int64(t.st.InitialRows()))
 	floor := db.gcFloor()
 	for _, c := range t.cols {

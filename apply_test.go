@@ -558,11 +558,11 @@ func TestTornRebootstrapRefusesReads(t *testing.T) {
 // convergeTables are the tables of TestApplySourcesConverge's history.
 var convergeTables = []string{"acct", "log", "tmp"}
 
-// dumpState renders everything a reader can observe of the converge
-// tables at db's newest snapshot: per table the visible rows with every
-// column's value, the count by aggregate, by bare CountRows and by scan,
-// and index probes.
-func dumpState(t *testing.T, db *DB) string {
+// dumpState renders everything a reader can observe of tabs (each with
+// the k, v and s columns of the converge tables) at db's newest
+// snapshot: per table the visible rows with every column's value, the
+// count by aggregate, by bare CountRows and by scan, and index probes.
+func dumpState(t *testing.T, db *DB, tabs ...string) string {
 	t.Helper()
 	var out strings.Builder
 	tx, err := db.Begin(OLAP)
@@ -570,7 +570,7 @@ func dumpState(t *testing.T, db *DB) string {
 		t.Fatal(err)
 	}
 	defer tx.Abort()
-	for _, tab := range convergeTables {
+	for _, tab := range tabs {
 		rows, err := tx.Filter(tab, "k", math.MinInt64, math.MaxInt64)
 		if err != nil {
 			t.Fatalf("%s: %v", tab, err)
@@ -762,9 +762,9 @@ func TestApplySourcesConverge(t *testing.T) {
 	}
 	defer recovered.Close()
 
-	want, wantSlots := dumpState(t, p), nextSlots(p)
+	want, wantSlots := dumpState(t, p, convergeTables...), nextSlots(p)
 	for name, db := range map[string]*DB{"recovered": recovered, "live replica": live, "bootstrapped replica": boot} {
-		if got := dumpState(t, db); got != want {
+		if got := dumpState(t, db, convergeTables...); got != want {
 			t.Errorf("%s diverges from the primary:\n%s\nprimary:\n%s", name, got, want)
 		}
 		if name == "live replica" {

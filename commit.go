@@ -268,9 +268,7 @@ func (db *DB) runBatch(s *commitShard, batch []*commitReq) {
 		}
 		req.errc <- walErr
 	}
-	if len(done) > 0 {
-		db.maintainShards([]*commitShard{s}, uint64(len(done)))
-	}
+	db.st.commits.Add(uint64(len(done)))
 }
 
 // commitCrossShard commits a transaction whose footprint spans several
@@ -364,7 +362,7 @@ func (db *DB) commitCrossShard(ids []int, t *mvcc.TxnState, epochs []tableEpoch)
 		tr.RecordAt(telemetry.EvTxnAbort, int64(t.ID), telemetry.AbortError, int64(t.Begin), now)
 	}
 	db.oracle.Complete(ts)
-	db.maintainShards(shards, 1)
+	db.st.commits.Add(1)
 	unlock()
 	// See commitGrouped: visibility before Commit returns.
 	db.oracle.WaitCompleted(ts)
@@ -409,51 +407,8 @@ func (db *DB) install(t *mvcc.TxnState, ts uint64) mvcc.CommitRecord {
 	return rec
 }
 
-// maintainShards counts the batch's committed transactions and runs
-// the periodic version-chain vacuum every vacuumEvery commits, applied
-// to the shards whose locks the caller holds. Recent-list pruning is
-// NOT done here: it is driven by the oracle watermark hook through the
-// background pruner (db.recentPruner), which covers idle shards too —
-// a shard that stops committing would otherwise retain validation
-// records until an explicit Vacuum.
-func (db *DB) maintainShards(shards []*commitShard, added uint64) {
-	n := db.st.commits.Add(added)
-	if n/vacuumEvery == (n-added)/vacuumEvery {
-		return
-	}
-	floor := db.gcFloor()
-	start := time.Now()
-	var removed int64
-	for _, s := range shards {
-		removed += db.vacuumShardChains(s, floor)
-	}
-	db.st.vacuums.Add(1)
-	db.st.versionsGCed.Add(removed)
-	elapsed := time.Since(start)
-	db.tel.vacuum.Observe(elapsed)
-	db.tel.rec.Record(telemetry.EvVacuum, removed, 0, elapsed.Nanoseconds())
-}
-
-// vacuumShardChains prunes the version chains of every column routed to
-// shard s below floor. The caller holds s's commit lock, which excludes
-// concurrent materialisation into those columns (pruning between a
-// commit's chain push and its timestamp store could reap a version a
-// concurrent reader still needs).
-func (db *DB) vacuumShardChains(s *commitShard, floor uint64) int64 {
-	var removed int64
-	for _, t := range db.liveTables() {
-		for _, c := range t.cols {
-			if db.shards[db.shardOf(c.id)] != s {
-				continue
-			}
-			removed += c.chain.Prune(floor, func(row int) uint64 { return c.wts.GetU(row) })
-		}
-	}
-	return removed
-}
-
 // lockAllShards takes every shard commit lock in ascending order,
-// stopping the whole commit pipeline. Used by the explicit Vacuum.
+// stopping the whole commit pipeline.
 func (db *DB) lockAllShards() {
 	for _, s := range db.shards {
 		s.mu.Lock()

@@ -18,9 +18,8 @@ import (
 	"ankerdb/internal/wal"
 )
 
-// vacuumEvery is how many commits pass between automatic version-chain
-// garbage collections run inside the commit path. RecentList pruning is
-// cheap and runs far more often (every recentPruneEvery commits).
+// The reclaimer (reclaim.go) wakes every recentPruneEvery completions;
+// its chain pass falls due every vacuumEvery installed commit records.
 const (
 	vacuumEvery      = 4096
 	recentPruneEvery = 64
@@ -91,11 +90,15 @@ type DB struct {
 
 	cost CostModel // prices proc's kernel counts as Stats.SimKernelTime
 
-	// gcKick wakes the watermark-driven recent-list pruner (one
-	// buffered slot: pruning is idempotent, kicks may coalesce);
-	// closing gcQuit stops it.
-	gcKick chan struct{}
-	gcQuit chan struct{}
+	// The reclaimer (reclaim.go): gcKick wakes it (kicks coalesce),
+	// gcReq carries the passes callers wait for, closing gcQuit stops
+	// it, gcDone closes once it has. chainEpoch, installedCommits() /
+	// vacuumEvery at its last chain pass, is the reclaimer's own.
+	gcKick     chan struct{}
+	gcReq      chan gcReq
+	gcQuit     chan struct{}
+	gcDone     chan struct{}
+	chainEpoch uint64
 
 	mu      sync.RWMutex
 	tables  map[string]*table
@@ -125,8 +128,8 @@ type DB struct {
 }
 
 type dbCounters struct {
-	commits         atomic.Uint64 // counted in maintainShards, drives periodic vacuum
-	completions     atomic.Uint64 // counted in the complete hook, drives recent-list pruning
+	commits         atomic.Uint64
+	completions     atomic.Uint64 // counted in the complete hook, paces the reclaimer
 	emptyCommits    atomic.Uint64
 	aborts          atomic.Uint64
 	conflicts       atomic.Uint64
@@ -158,7 +161,7 @@ type table struct {
 
 	// Row slot allocator: amu guards next (the high-water mark — every
 	// row ever used is below it) and free (slots whose dead incarnation
-	// Vacuum reclaimed, reused by Insert before the table grows).
+	// the reclaimer reclaimed, reused by Insert before the table grows).
 	amu  sync.Mutex
 	next int
 	free []int
@@ -186,12 +189,17 @@ type table struct {
 	// truncated rows through the index. dropped marks a tombstoned
 	// tabList slot: the name is released for re-creation but the slot
 	// index stays occupied, because WAL records and ColumnIDs address
-	// tables by slot. dropTS and freed are written and read only under
-	// every shard commit lock (or single-threaded recovery).
+	// tables by slot. freed is written and read only under every shard
+	// commit lock (or single-threaded recovery); dropTS is written once,
+	// under them, before dropped is set.
 	ddlEpoch atomic.Uint64
 	dropped  atomic.Bool
 	dropTS   uint64
 	freed    bool
+
+	// pending counts the row work left for the reclaimer (reclaimDue):
+	// deaths, index kills and visibility-log entries, or a drop.
+	pending atomic.Int64
 
 	// truncated is set by truncateAt — live, streamed or replayed: the
 	// killed rows (birth back to NeverTS) are indistinguishable from
@@ -350,8 +358,8 @@ func (c *column) loadZones(vals []int64) {
 // reclaimed or dead at or below floor — no current or future reader
 // resolves those), plus every surviving version-chain value, which a
 // pinned generation might still reach. The caller must exclude
-// concurrent installs into the columns (Vacuum holds every shard
-// commit lock; recovery is single-threaded).
+// concurrent installs into the columns (the reclaimer and truncateAt
+// hold every shard commit lock; recovery is single-threaded).
 func (c *column) recomputeZones(floor uint64) {
 	tab := c.tab
 	capacity := tab.st.Capacity()
@@ -420,17 +428,6 @@ func (c *column) recomputeZones(floor uint64) {
 	}
 }
 
-// recomputeZones recomputes every column's zone maps (see the column
-// method). Vacuum calls it under all shard locks; recovery calls it
-// single-threaded before the DB is shared.
-func (db *DB) recomputeZones(floor uint64) {
-	for _, t := range db.liveTables() {
-		for _, c := range t.cols {
-			c.recomputeZones(floor)
-		}
-	}
-}
-
 // Open creates a database configured by opts: purely in-memory by
 // default, or durable under WithDurability — in which case a non-empty
 // durability directory is recovered (schema log, newest checkpoint,
@@ -455,7 +452,9 @@ func Open(opts ...Option) (*DB, error) {
 		shards:          newCommitShards(cfg.resolveCommitShards()),
 		tables:          map[string]*table{},
 		gcKick:          make(chan struct{}, 1),
+		gcReq:           make(chan gcReq),
 		gcQuit:          make(chan struct{}),
+		gcDone:          make(chan struct{}),
 		autoCkptBytes:   cfg.autoCkptBytes,
 		autoCkptRecords: cfg.autoCkptRecords,
 	}
@@ -496,7 +495,7 @@ func Open(opts ...Option) (*DB, error) {
 			return nil, err
 		}
 	}
-	go db.recentPruner()
+	go db.reclaimer()
 	if db.wal != nil && (cfg.autoCkptBytes > 0 || cfg.autoCkptRecords > 0 || cfg.autoCkptInterval > 0) {
 		db.ckptKick = make(chan struct{}, 1)
 		db.ckptQuit = make(chan struct{})
@@ -531,11 +530,10 @@ func (db *DB) hasTable(name string) bool {
 }
 
 // onComplete is the oracle's complete hook, called once per committed
-// timestamp the watermark crosses, inside the completion critical
-// section — it must stay cheap (atomics and a non-blocking send). It
-// drives snapshot refresh and, every recentPruneEvery commits, kicks
-// the background recent-list pruner so even shards that stopped
-// committing release validation records as the watermark advances.
+// timestamp the watermark crosses (on a replica, once per heartbeat),
+// inside the completion critical section — it must stay cheap (atomics
+// and a non-blocking send). It drives snapshot refresh and, every
+// recentPruneEvery completions, kicks the reclaimer.
 func (db *DB) onComplete(ts uint64) {
 	db.snaps.noteCommit(ts)
 	if p := db.pub; p != nil {
@@ -544,27 +542,7 @@ func (db *DB) onComplete(ts uint64) {
 	if db.st.completions.Add(1)%recentPruneEvery == 0 {
 		select {
 		case db.gcKick <- struct{}{}:
-		default: // a kick is already pending; pruning coalesces
-		}
-	}
-}
-
-// recentPruner runs until Close, pruning every shard's recent-commits
-// list below the GC floor whenever the watermark hook kicks it. Unlike
-// the commit-path vacuum it covers idle shards: a shard that stops
-// committing still sheds its retained records as other shards advance
-// the watermark. RecentList pruning only takes the list's own mutex,
-// so the pruner never contends with shard commit locks.
-func (db *DB) recentPruner() {
-	for {
-		select {
-		case <-db.gcQuit:
-			return
-		case <-db.gcKick:
-			floor := db.gcFloor()
-			for _, s := range db.shards {
-				s.recent.PruneBelow(floor)
-			}
+		default: // a kick is already pending; passes coalesce
 		}
 	}
 }
@@ -847,102 +825,10 @@ func (db *DB) gcFloor() uint64 {
 	return floor
 }
 
-// Vacuum garbage-collects recently-committed records and version
-// chains that no running transaction or pinned snapshot can still see,
-// returning the number of version nodes removed, and reclaims rows
-// whose death timestamp lies below the same floor into their table's
-// free list, where Insert reuses them before the table grows. Shard-
-// local versions of the chain passes also run automatically every few
-// thousand commits. It serialises with commit processing by holding
-// every shard commit lock: pruning between a commit's chain push and
-// its timestamp store could reap a version a concurrent reader still
-// needs, and row reclamation must not race a birth or death install.
-func (db *DB) Vacuum() int64 {
-	start := time.Now()
-	db.lockAllShards()
-	defer db.unlockAllShards()
-	floor := db.gcFloor()
-	var removed int64
-	for _, s := range db.shards {
-		s.recent.PruneBelow(floor)
-		removed += db.vacuumShardChains(s, floor)
-	}
-	db.reclaimRows(floor)
-	db.mu.RLock()
-	tabs := append([]*table(nil), db.tabList...)
-	db.mu.RUnlock()
-	for _, t := range tabs {
-		if t.dropped.Load() {
-			// A dropped table's storage frees once nothing can reach it
-			// anymore — the floor must lie strictly ABOVE the drop stamp,
-			// since a generation pinned exactly at it may still capture.
-			if t.dropTS < floor {
-				db.freeDropped(t)
-			}
-			continue
-		}
-		t.visLogCompact(floor)
-	}
-	// Recompute zone maps exactly now that reclaimed rows are out of the
-	// picture — widen-only installs between vacuums can only have left
-	// them too wide, never wrong. Index entries dead below the floor go
-	// the same way — and must, before a reclaimed slot is reused, so a
-	// re-inserted row's fresh entries never coexist with its dead
-	// incarnation's at a reachable timestamp.
-	db.recomputeZones(floor)
-	for _, t := range tabs {
-		if t.dropped.Load() {
-			continue
-		}
-		for _, c := range t.cols {
-			if ix := c.idx.Load(); ix != nil {
-				ix.Prune(floor)
-			}
-		}
-	}
-	db.st.vacuums.Add(1)
-	db.st.versionsGCed.Add(removed)
-	elapsed := time.Since(start)
-	db.tel.vacuum.Observe(elapsed)
-	db.tel.rec.Record(telemetry.EvVacuum, removed, 0, elapsed.Nanoseconds())
-	return removed
-}
-
-// reclaimRows moves rows dead at or below floor to their table's free
-// list, marking the slot unborn (birth NeverTS) so no later reader can
-// resurrect the dead incarnation. The caller holds every shard commit
-// lock (no concurrent birth/death installs) and floor is the GC floor
-// (no running transaction or pinned generation reads below it), so
-// every current and future reader already sees these rows as dead.
-// The death timestamp is left in place: recovery uses the
-// (birth=NeverTS, death!=0) pair persisted by a later checkpoint to
-// rebuild the free list.
-func (db *DB) reclaimRows(floor uint64) {
-	for _, t := range db.liveTables() {
-		if !t.visMutated.Load() {
-			continue
-		}
-		birth, death := t.st.Birth(), t.st.Death()
-		t.amu.Lock()
-		for row := 0; row < t.next; row++ {
-			b := birth.GetU(row)
-			if b == storage.NeverTS {
-				continue // unborn, reserved, or already reclaimed
-			}
-			if d := death.GetU(row); d != 0 && d <= floor {
-				birth.SetU(row, storage.NeverTS)
-				t.free = append(t.free, row)
-				db.st.rowsReclaimed.Add(1)
-			}
-		}
-		t.amu.Unlock()
-	}
-}
-
 // Close releases the manager's pin on the current snapshot generation,
-// stops the background pruner and the checkpoint scheduler (waiting
-// out any checkpoint the scheduler already started, so the log is
-// never closed under it), syncs and closes the write-ahead log (so
+// stops the reclaimer and the checkpoint scheduler (waiting out any
+// pass or checkpoint already started, so neither runs against a closed
+// manager or log), syncs and closes the write-ahead log (so
 // even under SyncNone a clean shutdown is durable), and marks the
 // database closed. Transactions still running keep their pinned
 // snapshots alive until they finish.
@@ -968,6 +854,7 @@ func (db *DB) Close() error {
 		db.pub.Close()
 	}
 	close(db.gcQuit)
+	<-db.gcDone
 	if db.ckptQuit != nil {
 		close(db.ckptQuit)
 		<-db.ckptDone

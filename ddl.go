@@ -29,7 +29,7 @@ import (
 // immediately, staged transactions against it abort at commit, and its
 // mapped column chunks are released wholesale once no running
 // transaction or pinned snapshot generation can still reach them
-// (checked here and again by each Vacuum). The table's secondary
+// (checked here and again by the reclaimer). The table's secondary
 // indexes and visibility log go with it. With durability enabled the
 // drop appends a schema-log marker record; recovery replays it exactly
 // once, against whichever mix of checkpoint and WAL state survived.
@@ -135,6 +135,7 @@ func (db *DB) freeDropped(t *table) {
 		return
 	}
 	t.freed = true
+	t.pending.Store(0)
 	for _, c := range t.cols {
 		c.idx.Store(nil)
 		c.chain = mvcc.NewChainStore()

@@ -70,8 +70,8 @@
 // snapshot's timestamp) are repaired from the version chains.
 //
 // Tables are growable: Txn.Insert reserves a row slot (reusing
-// Vacuum-reclaimed free-list slots before mapping new capacity
-// chunks) and births it at the commit timestamp; Txn.Delete stamps a
+// reclaimed free-list slots before mapping new capacity chunks) and
+// births it at the commit timestamp; Txn.Delete stamps a
 // death timestamp. Every read path — point reads, scans, filters,
 // aggregates and Count — resolves the per-row birth/death pair at its
 // read timestamp, so the visible row set is snapshot-consistent, and

@@ -98,7 +98,7 @@ func runFaultWorkload(t *testing.T, strat ankerdb.SnapshotStrategy, dir string, 
 	// possibly-absent index, which the verifiers never assume.
 	_ = db.CreateIndex("bench", "c0", ankerdb.Hash)
 
-	g := workload.NewGen(workload.TPCC, seed, faultCols, faultRows)
+	g := workload.NewGen(seed, faultCols, faultRows)
 	r := &workload.Runner{DB: db, Table: "bench", Cols: faultCols}
 	for i := 0; i < maxTxns; i++ {
 		op := g.Next()

@@ -61,13 +61,33 @@ func write8(t *testing.T, db *ankerdb.DB, next func() int) {
 	}
 }
 
+// TestCommitAllocGate: write8 embedded at one and two shards, on a
+// durable SyncNone database (WAL record encoding and append), and on
+// one that also serves (the publisher's staged record); the last two
+// bounds were read at d509775.
 func TestCommitAllocGate(t *testing.T) {
+	durable := func(t *testing.T) []ankerdb.Option {
+		return []ankerdb.Option{ankerdb.WithDurability(t.TempDir()), ankerdb.WithSyncPolicy(ankerdb.SyncNone)}
+	}
 	for _, c := range []struct {
+		name   string
 		shards int
+		opts   func(t *testing.T) []ankerdb.Option
 		bound  float64
-	}{{1, 26}, {2, 27}} {
-		t.Run(fmt.Sprintf("shards=%d", c.shards), func(t *testing.T) {
-			db := openBenchDB(t, c.shards)
+	}{
+		{"shards=1", 1, nil, 26},
+		{"shards=2", 2, nil, 27},
+		{"durable", 1, durable, 36},
+		{"serving", 1, func(t *testing.T) []ankerdb.Option {
+			return append(durable(t), ankerdb.WithServeAddr("127.0.0.1:0"))
+		}, 42},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var opts []ankerdb.Option
+			if c.opts != nil {
+				opts = c.opts(t)
+			}
+			db := openBenchDB(t, c.shards, opts...)
 			defer db.Close()
 			rnd := rand.New(rand.NewSource(1))
 			next := func() int { return rnd.Intn(benchRows) }

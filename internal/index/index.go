@@ -360,7 +360,7 @@ func sampleVisible(seg []entry, ts uint64) int {
 
 // Prune drops entries dead at or below floor — no live reader can see
 // them once every snapshot generation's timestamp is at or above
-// floor. The engine calls it from Vacuum with the version-chain GC
+// floor. The engine's reclaimer calls it with the version-chain GC
 // floor.
 func (ix *Index) Prune(floor uint64) (removed int) {
 	dead := func(e *entry) bool { return e.death != 0 && e.death <= floor }

@@ -12,26 +12,24 @@ import (
 // stands on.
 func TestGenDeterministic(t *testing.T) {
 	cols := []string{"c0", "c1", "c2"}
-	for _, p := range Profiles {
-		a := NewGen(p, 42, cols, 1024)
-		b := NewGen(p, 42, cols, 1024)
-		for i := 0; i < 500; i++ {
-			oa, ob := a.Next(), b.Next()
-			if !reflect.DeepEqual(oa, ob) {
-				t.Fatalf("%s: op %d diverged: %+v vs %+v", p, i, oa, ob)
-			}
+	a := NewGen(42, cols, 1024)
+	b := NewGen(42, cols, 1024)
+	for i := 0; i < 500; i++ {
+		oa, ob := a.Next(), b.Next()
+		if !reflect.DeepEqual(oa, ob) {
+			t.Fatalf("op %d diverged: %+v vs %+v", i, oa, ob)
 		}
-		c := NewGen(p, 43, cols, 1024)
-		same := true
-		for i := 0; i < 500; i++ {
-			if !reflect.DeepEqual(a.Next(), c.Next()) {
-				same = false
-				break
-			}
+	}
+	c := NewGen(43, cols, 1024)
+	same := true
+	for i := 0; i < 500; i++ {
+		if !reflect.DeepEqual(a.Next(), c.Next()) {
+			same = false
+			break
 		}
-		if same {
-			t.Fatalf("%s: seeds 42 and 43 produced identical 500-op streams", p)
-		}
+	}
+	if same {
+		t.Fatal("seeds 42 and 43 produced identical 500-op streams")
 	}
 }
 
@@ -39,7 +37,7 @@ func TestGenDeterministic(t *testing.T) {
 // value per column, and the stream contains all four op kinds.
 func TestTPCCMix(t *testing.T) {
 	cols := []string{"c0", "c1"}
-	g := NewGen(TPCC, 7, cols, 256)
+	g := NewGen(7, cols, 256)
 	var inserts, deletes, readOnly, payments int
 	for i := 0; i < 1000; i++ {
 		op := g.Next()
@@ -89,7 +87,7 @@ func TestRunnerApply(t *testing.T) {
 	defer db.Close()
 
 	oracle := map[Cell]int64{} // written cells only; zero-valued cells stay absent
-	g := NewGen(TPCC, 11, cols, rows)
+	g := NewGen(11, cols, rows)
 	r := &Runner{DB: db, Table: "bench", Cols: cols}
 	deleted := map[int]bool{}
 	for i := 0; i < 400; i++ {

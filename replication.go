@@ -420,7 +420,7 @@ func (r *replicaState) runBootstrap(c *repl.Conn) error {
 			noteTS := func(v uint64) { seed = max(seed, v) }
 			body := wal.NewCheckpointReader(&snapChunkReader{next: next})
 			for i := 0; i < sb.Tables; i++ {
-				// Every shard lock, per section: a Vacuum must not walk
+				// Every shard lock, per section: no installer may touch
 				// arrays the section is overwriting.
 				db.lockAllShards()
 				err := db.readTableSection(body, noteTS)
@@ -808,8 +808,10 @@ func (db *DB) Promote(requireTS uint64) error {
 	for _, t := range db.liveTables() {
 		t.rebuildAllocator()
 	}
-	db.unlockAllShards()
+	// Under the locks: a reclaimer pass that marks slots free after the
+	// rebuild must also hand them to the allocator (reclaimRows).
 	db.promoted.Store(true)
+	db.unlockAllShards()
 	db.tel.rec.Record(telemetry.EvReplPromote, int64(seed), int64(requireTS), 0)
 	return nil
 }

@@ -93,7 +93,7 @@ type Stats struct {
 	IndexBackedQueries uint64 `metric:"ankerdb_index_backed_queries_total,counter" help:"engine queries routed through an index"`
 	// IndexEntries counts live (not death-stamped) entries summed over
 	// every secondary index; IndexEntriesRaw additionally counts
-	// death-stamped entries Vacuum has not pruned yet. Raw minus live is
+	// death-stamped entries the reclaimer has not pruned yet. Raw minus live is
 	// the churn backlog — the gap that made EstimateRange over-estimate
 	// before it was live-scaled.
 	IndexEntries    int64 `metric:"ankerdb_index_entries_live,gauge" help:"live secondary-index entries"`
@@ -102,7 +102,7 @@ type Stats struct {
 	// Growable tables (Txn.Insert / Txn.Delete).
 	RowInserts    uint64 `metric:"ankerdb_rows_inserted_total,counter" help:"rows transactionally born"`      // committed inserts
 	RowDeletes    uint64 `metric:"ankerdb_rows_deleted_total,counter" help:"rows transactionally killed"`     // committed deletes
-	RowsReclaimed uint64 `metric:"ankerdb_rows_reclaimed_total,counter" help:"dead rows moved to free lists"` // by Vacuum
+	RowsReclaimed uint64 `metric:"ankerdb_rows_reclaimed_total,counter" help:"dead rows moved to free lists"` // by the reclaimer
 	RowsFree      int    `metric:"ankerdb_rows_free,gauge" help:"free-list slots awaiting reuse"`
 	TableCapacity int    `metric:"ankerdb_table_capacity_rows,gauge" help:"mapped row capacity over all tables"`
 

@@ -65,7 +65,7 @@ type dbTelemetry struct {
 	queryExec  telemetry.Histogram // Query.Run end to end
 	checkpoint telemetry.Histogram // Checkpoint duration
 	recovery   telemetry.Histogram // Open-time replay (one observation)
-	vacuum     telemetry.Histogram // explicit + commit-path vacuum passes
+	vacuum     telemetry.Histogram // reclaimer passes, automatic and Vacuum's
 
 	// Count histograms (telemetry.Counts): the size of each commit
 	// batch, and at each replica ack the primary receives how many

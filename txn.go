@@ -281,6 +281,7 @@ func (t *Txn) Insert(tab string, vals map[string]any) (int, error) {
 			staged[i] = c.dict.Encode("") // codes must decode; 0 may not exist yet
 		}
 	}
+	t.db.assistGrowth(tb)
 	row, err := tb.reserve()
 	if err != nil {
 		return 0, err
@@ -299,8 +300,8 @@ func (t *Txn) Insert(tab string, vals map[string]any) (int, error) {
 // below it keep seeing the row. The deletion reads the whole row —
 // every column plus its liveness — so a concurrent commit that writes,
 // re-inserts or deletes the row aborts this transaction at validation.
-// Dead rows are reclaimed for reuse by Vacuum once no reader can see
-// them. A row inserted by this same transaction cannot be deleted by
+// Dead rows are reclaimed for reuse by the background reclaimer once
+// no reader can see them. A row inserted by this same transaction cannot be deleted by
 // it — abort the transaction instead.
 func (t *Txn) Delete(tab string, row int) error {
 	if t.done {

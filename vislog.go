@@ -45,6 +45,7 @@ func (t *table) visLogAppend(ts uint64, delta int64) {
 		base:    s.base,
 		entries: append(s.entries, visDelta{ts: ts, cum: cum + delta}),
 	})
+	t.pending.Add(1)
 }
 
 // visCountAt returns the number of rows visible at ts. ts must be at
@@ -61,8 +62,8 @@ func (t *table) visCountAt(ts uint64) int64 {
 }
 
 // visLogCompact folds every entry at or below floor into the base.
-// Called under all shard commit locks (Vacuum): no reader at or above
-// floor distinguishes the folded entries from the base.
+// Called under all shard commit locks (reclaimTable): no reader at or
+// above floor distinguishes the folded entries from the base.
 func (t *table) visLogCompact(floor uint64) {
 	s := t.visLog.Load()
 	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].ts > floor })
