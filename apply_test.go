@@ -32,11 +32,15 @@ func sectionSchema() Schema {
 
 const sectionInitialRows = 8
 
+// withPageSize sets the simulated page size in bytes (default
+// phys.DefaultPageSize).
+func withPageSize(n int) Option { return func(c *config) { c.pageSize = n } }
+
 // openSectionDB opens a memory database holding the empty "sec" table,
 // on 64-word pages so that a grown table is still a small fuzz seed.
 func openSectionDB(tb testing.TB) *DB {
 	tb.Helper()
-	db, err := Open(WithCostModel(ZeroCost), WithPageSize(512), WithInitialSchema(sectionSchema(), sectionInitialRows))
+	db, err := Open(WithCostModel(ZeroCost), withPageSize(512), WithInitialSchema(sectionSchema(), sectionInitialRows))
 	if err != nil {
 		tb.Fatal(err)
 	}

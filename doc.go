@@ -53,7 +53,7 @@
 //     test-only WithFS option)
 //
 // Open-time options: WithSnapshotStrategy, WithCostModel,
-// WithPageSize, WithSnapshotRefresh, WithInitialSchema,
+// WithSnapshotRefresh, WithInitialSchema,
 // WithCommitShards, WithDurability, WithSyncPolicy, WithAutoCheckpoint,
 // WithAutoCheckpointInterval, WithSlowQueryThreshold,
 // WithMetricsServer, WithServeAddr, WithReplicaOf, WithNamespace,

@@ -8,8 +8,11 @@ package ankerdb_test
 // benchmark's job (benchmark/, alternated parent/change pairs); these
 // are tier-1, so one more allocation on a hot path fails go test.
 //
-// The allocation bounds are the counts testing.AllocsPerRun reads at
-// 3e9ac5f under go1.24.0 (identical over five runs). AllocsPerRun pins
+// The allocation bounds are the counts testing.AllocsPerRun reads
+// under go1.24.0, identical over five runs: the embedded commit and the
+// OLAP Sum at 3e9ac5f; the durable and serving commits and the remote
+// txn on the change after e4a1f68 that made the WAL frame a record's
+// only encoding (e4a1f68 itself read 36, 42 and 112). AllocsPerRun pins
 // GOMAXPROCS to 1 and counts the whole process, server goroutines
 // included, so a bound covers every layer the transaction crosses; its
 // 1000 runs amortise a fresh database's one-off growth (at 100 the
@@ -62,9 +65,12 @@ func write8(t *testing.T, db *ankerdb.DB, next func() int) {
 }
 
 // TestCommitAllocGate: write8 embedded at one and two shards, on a
-// durable SyncNone database (WAL record encoding and append), and on
-// one that also serves (the publisher's staged record); the last two
-// bounds were read at d509775.
+// durable SyncNone database (the redo record, encoded once into its
+// presized WAL frame), and on one that also serves. Serving costs no
+// allocation of its own: the publisher stages the frame's payload
+// bytes. Both durable bounds (29) were read under go1.24.0 on the
+// change after e4a1f68, which read 36 and 42 with a separate encoding
+// for the frame and for the publisher.
 func TestCommitAllocGate(t *testing.T) {
 	durable := func(t *testing.T) []ankerdb.Option {
 		return []ankerdb.Option{ankerdb.WithDurability(t.TempDir()), ankerdb.WithSyncPolicy(ankerdb.SyncNone)}
@@ -77,10 +83,10 @@ func TestCommitAllocGate(t *testing.T) {
 	}{
 		{"shards=1", 1, nil, 26},
 		{"shards=2", 2, nil, 27},
-		{"durable", 1, durable, 36},
+		{"durable", 1, durable, 29},
 		{"serving", 1, func(t *testing.T) []ankerdb.Option {
 			return append(durable(t), ankerdb.WithServeAddr("127.0.0.1:0"))
-		}, 42},
+		}, 29},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var opts []ankerdb.Option
@@ -156,7 +162,7 @@ func TestRemoteTxnAllocGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	allocGate(t, 112, func() { remoteTxn4x4(t, s) })
+	allocGate(t, 101, func() { remoteTxn4x4(t, s) })
 }
 
 // requestCounter relays one connection to target and counts the session

@@ -20,8 +20,8 @@ import (
 )
 
 // DefaultPageSize is the small-page size used throughout the paper
-// (4 KiB). The allocator is parameterised so that the huge-page ablation
-// can instantiate a 2 MiB pool.
+// (4 KiB), and the only size the engine runs on; tests pass smaller
+// pages to reach chunk and page boundaries with few rows.
 const DefaultPageSize = 4096
 
 // WordSize is the size of one storage word in bytes.

@@ -6,11 +6,14 @@ import (
 )
 
 // Exported record codecs for the replication tier. The wire protocol
-// (internal/repl) ships WAL record payloads verbatim — the same bytes
-// the primary made durable — so a replica replays exactly what crash
-// recovery would replay, through the same idempotent-by-commitTS
-// rules. Framing (length + CRC) is the transport's concern; these
-// functions encode and decode bare payloads.
+// (internal/repl) ships WAL record payloads verbatim: the publisher
+// stages each payload exactly as OnAppend hands it over from the frame
+// the log wrote, and a replica decodes it to apply and then logs the
+// received bytes with AppendEncoded. A commit or load record is thus
+// encoded once, on the primary, and a replica — chained or not —
+// replays exactly what the primary's crash recovery would replay,
+// through the same idempotent-by-commitTS rules. Framing (length + CRC)
+// is the transport's concern; these functions work on bare payloads.
 
 // Encode serialises the commit record payload (the bytes AppendCommits
 // frames into a shard segment).
@@ -21,9 +24,6 @@ func (r CommitRecord) Encode() []byte { return r.encode(nil) }
 func DecodeCommitPayload(payload []byte) (CommitRecord, error) {
 	return decodeCommit(payload)
 }
-
-// Encode serialises the load record payload.
-func (r LoadRecord) Encode() []byte { return r.encode(nil) }
 
 // Encode serialises the table-DDL marker payload (the bytes
 // AppendTableDDL appends to the schema log).

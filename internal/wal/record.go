@@ -105,10 +105,52 @@ const maxFrameLen = 1 << 30
 // crash mid-append leaves a frame that fails the length or CRC check
 // and replay stops cleanly at the previous record.
 func appendFrame(dst, payload []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	return append(append(dst, hdr[:]...), payload...)
+	return appendFramed(dst, func(b []byte) []byte { return append(b, payload...) })
+}
+
+// appendFramed is appendFrame over the payload encode appends, encoded
+// in place behind its header: a record's frame is its only encoding.
+func appendFramed(dst []byte, encode func([]byte) []byte) []byte {
+	start := len(dst)
+	b := encode(append(dst, make([]byte, 8)...))
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-8))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(b[start+8:]))
+	return b
+}
+
+// splitFrame cuts the first of the whole frames in b: the frame, its
+// payload capped at the frame's end, and the frames after it.
+func splitFrame(b []byte) (frame, payload, rest []byte) {
+	end := 8 + int(binary.LittleEndian.Uint32(b))
+	return b[:end], b[8:end:end], b[end:]
+}
+
+// recordTS is a shard-segment payload's commit timestamp, 0 for a load
+// chunk; ok is false for a payload of neither kind.
+func recordTS(p []byte) (ts uint64, ok bool) {
+	switch {
+	case len(p) > 0 && p[0] == recKindLoad:
+		return 0, true
+	case len(p) >= 9 && (p[0] == recKindCommit || p[0] == recKindRowCommit):
+		return binary.LittleEndian.Uint64(p[1:]), true
+	}
+	return 0, false
+}
+
+// size is the exact length of r's payload, len(r.encode(nil)): a commit
+// batch's frames are encoded into one buffer of their summed size.
+func (r CommitRecord) size() int {
+	n := 1 + 8 + 4 // kind, TS, write count
+	if len(r.Ops) > 0 {
+		n += 4 + 9*len(r.Ops)
+	}
+	for _, w := range r.Writes {
+		n += 4 + 4 + 4 + 8 + 1
+		if w.HasStr {
+			n += 4 + len(w.Str)
+		}
+	}
+	return n
 }
 
 // encode serialises the commit record payload (framing is the

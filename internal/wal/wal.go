@@ -161,19 +161,16 @@ type Log struct {
 	// cheap and must not call back into the log.
 	OnSeal func(shard, records int, lastTS uint64)
 
-	// OnAppend, when set (before the log is shared), is called by
-	// AppendCommits after a batch is as durable as the policy promises,
-	// with the shard id and the batch's records, still under the shard's
-	// append lock and before the commit pipeline publishes the batch's
-	// timestamps. The replication publisher uses it to capture every
-	// durable record ahead of the completion watermark; like OnSeal it
-	// must be cheap and must not call back into the log.
-	OnAppend func(shard int, recs []CommitRecord)
-
-	// OnLoad is OnAppend for bulk-load chunk records: called by
-	// AppendLoads once the whole load chunk batch is durable, under the
-	// shard's append lock.
-	OnLoad func(shard int, recs []LoadRecord)
+	// OnAppend, when set (before the log is shared), is called once per
+	// shard-segment record after its append is as durable as the policy
+	// promises, still under the shard's append lock and before the commit
+	// pipeline publishes the batch's timestamps: ts is the commit
+	// timestamp, 0 for a load chunk, and payload the record's bytes as
+	// logged — a capped sub-slice of a frame the log never reuses, so the
+	// hook may keep it. The replication publisher stages these bytes
+	// verbatim; like OnSeal the hook must be cheap and must not call back
+	// into the log.
+	OnAppend func(ts uint64, payload []byte)
 
 	// OnSchema is called by the schema-log appends (AppendTable,
 	// AppendIndexDDL, AppendTableDDL) with each record's encoded payload
@@ -330,9 +327,6 @@ func (l *Log) discardOrphans() error {
 	return l.syncDir(l.dir)
 }
 
-// Dir returns the durability directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Policy returns the configured sync policy.
 func (l *Log) Policy() SyncPolicy { return l.policy }
 
@@ -369,78 +363,82 @@ func (l *Log) notePeak(n uint64) {
 	}
 }
 
-// Shards returns the shard count the log was opened with.
-func (l *Log) Shards() int { return len(l.shards) }
-
 // AppendCommits appends a batch of commit records to shard's segment:
 // one write per batch and, under SyncGroup, one fsync per batch (under
 // SyncAlways, one write and one fsync per record). It returns only
 // after the records are as durable as the policy promises, so the
 // commit pipeline may acknowledge the batch when it returns. Any
-// write or sync error poisons the log (see ErrLogFailed).
+// write or sync error poisons the log (see ErrLogFailed). Each record
+// is encoded once, in place behind its frame header, into one buffer
+// of the batch's exact size.
 func (l *Log) AppendCommits(shard int, recs []CommitRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	if err := l.usable(); err != nil {
-		return err
-	}
-	s := l.shards[shard]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := l.ensureSegment(s); err != nil {
-		return l.poison(err)
-	}
-	if l.policy == SyncAlways {
-		for _, r := range recs {
-			if err := l.write(s, appendFrame(nil, r.encode(nil))); err != nil {
-				return l.poison(err)
-			}
-			if err := l.sync(s.f); err != nil {
-				return l.poison(err)
-			}
-			s.lastTS, s.records = r.TS, s.records+1
-			l.records.Add(1)
-		}
-		if l.OnAppend != nil {
-			l.OnAppend(shard, recs)
-		}
-		return nil
-	}
-	var buf []byte
+	n := 0
 	for _, r := range recs {
-		buf = appendFrame(buf, r.encode(nil))
+		n += 8 + r.size()
 	}
-	if err := l.write(s, buf); err != nil {
-		return l.poison(err)
+	buf := make([]byte, 0, n)
+	for _, r := range recs {
+		buf = appendFramed(buf, r.encode)
 	}
-	if l.policy == SyncGroup {
-		if err := l.sync(s.f); err != nil {
-			return l.poison(err)
+	if l.policy != SyncAlways {
+		return l.appendFrames(shard, buf)
+	}
+	for len(buf) > 0 {
+		var f []byte
+		f, _, buf = splitFrame(buf)
+		if err := l.appendFrames(shard, f); err != nil {
+			return err
 		}
-	}
-	s.lastTS, s.records = recs[len(recs)-1].TS, s.records+len(recs)
-	l.records.Add(uint64(len(recs)))
-	if l.OnAppend != nil {
-		l.OnAppend(shard, recs)
 	}
 	return nil
 }
 
 // AppendLoads appends a bulk load's chunk records to shard's segment:
-// one write per chunk (the chunks together may exceed any sane single
-// buffer) and one fsync for the whole load under any policy but
-// SyncNone — a bulk load is one logical operation, so it gets one
+// one write per chunk and one fsync for the whole load under any
+// policy but SyncNone — a bulk load is one logical operation, so it gets one
 // durability point, like a group-commit batch. Load records carry no
 // timestamp and therefore never extend the segment's truncation
 // watermark: once a checkpoint captures the loaded data, a segment
 // holding only loads is reclaimed. The caller must serialise loads
 // against checkpoints (the engine holds its checkpoint mutex), so a
 // checkpoint can never capture half a load and then truncate the rest.
+// Every chunk is framed into its own buffer, which OnAppend may keep,
+// before the first write: until the append returns the log holds one
+// framed copy of the whole load.
 func (l *Log) AppendLoads(shard int, recs []LoadRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	frames := make([][]byte, len(recs))
+	for i, r := range recs {
+		frames[i] = appendFramed(nil, r.encode)
+	}
+	return l.appendFrames(shard, frames...)
+}
+
+// AppendEncoded appends one record payload as received — a commit
+// record at commit timestamp ts, or a load chunk at ts 0 — with the
+// durability of a one-record AppendCommits or a one-chunk AppendLoads.
+// A replica logs the primary's bytes this way instead of re-encoding
+// the record it decoded. The payload is copied into its frame, so it
+// need only be valid for the call; one whose kind or timestamp
+// disagrees with ts is refused before anything is written.
+func (l *Log) AppendEncoded(shard int, ts uint64, payload []byte) error {
+	if got, ok := recordTS(payload); !ok || got != ts {
+		return fmt.Errorf("wal: payload is not a segment record at ts %d", ts)
+	}
+	return l.appendFrames(shard, appendFrame(nil, payload))
+}
+
+// appendFrames is every shard-segment append: under the shard's append
+// lock it writes each buffer of whole frames with one write, then
+// fsyncs once unless SyncNone, poisoning the log on any error. Once
+// durable, every commit record advances the segment's truncation
+// watermark (load chunks never do) and every record reaches OnAppend.
+func (l *Log) appendFrames(shard int, bufs ...[]byte) error {
 	if err := l.usable(); err != nil {
 		return err
 	}
@@ -450,22 +448,32 @@ func (l *Log) AppendLoads(shard int, recs []LoadRecord) error {
 	if err := l.ensureSegment(s); err != nil {
 		return l.poison(err)
 	}
-	var buf []byte
-	for _, r := range recs {
-		buf = appendFrame(buf[:0], r.encode(nil))
-		if err := l.write(s, buf); err != nil {
+	for _, b := range bufs {
+		if _, err := s.f.Write(b); err != nil {
 			return l.poison(err)
 		}
+		l.bytes.Add(uint64(len(b)))
 	}
 	if l.policy != SyncNone {
 		if err := l.sync(s.f); err != nil {
 			return l.poison(err)
 		}
 	}
-	l.records.Add(uint64(len(recs)))
-	if l.OnLoad != nil {
-		l.OnLoad(shard, recs)
+	var n uint64
+	for _, b := range bufs {
+		for rest := b; len(rest) > 0; n++ {
+			var p []byte
+			_, p, rest = splitFrame(rest)
+			ts, _ := recordTS(p)
+			if ts > 0 {
+				s.lastTS, s.records = ts, s.records+1
+			}
+			if l.OnAppend != nil {
+				l.OnAppend(ts, p)
+			}
+		}
 	}
+	l.records.Add(n)
 	return nil
 }
 
@@ -855,14 +863,6 @@ func (l *Log) ensureSegment(s *shardLog) error {
 		return nil
 	}
 	return l.syncDir(filepath.Join(l.dir, "wal"))
-}
-
-func (l *Log) write(s *shardLog, buf []byte) error {
-	if _, err := s.f.Write(buf); err != nil {
-		return err
-	}
-	l.bytes.Add(uint64(len(buf)))
-	return nil
 }
 
 func (l *Log) sync(f fault.File) error {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -248,6 +249,9 @@ func TestDecodeRejectsTruncatedPayload(t *testing.T) {
 // FuzzWALRecords: arbitrary bytes against every WAL and schema-log
 // payload decoder — commit (kinds 1 and 3), load, table, index-DDL and
 // table-DDL — seeded from real encodings and hostile count prefixes.
+// Every commit record that decodes also pins AppendCommits' presizing
+// and in-place framing to the payload layout: its exact size is its
+// encoding's length, and its in-place frame is appendFrame's.
 func FuzzWALRecords(f *testing.F) {
 	for _, seed := range [][]byte{
 		CommitRecord{TS: 7, Writes: []RedoWrite{{Table: 1, Col: 2, Row: 3, Val: -1, Str: "varchar", HasStr: true}}}.encode(nil),
@@ -264,6 +268,17 @@ func FuzzWALRecords(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecoder(t, data, decodeCommit, CommitRecord.encode, nil)
+		if r, err := decodeCommit(data); err == nil {
+			enc := r.encode(nil)
+			if r.size() != len(enc) {
+				t.Fatalf("size %d, encoding %d bytes", r.size(), len(enc))
+			}
+			prefix := []byte("frame")
+			got := appendFramed(append([]byte(nil), prefix...), r.encode)
+			if want := appendFrame(prefix, enc); !bytes.Equal(got, want) {
+				t.Fatalf("in-place frame %x, appendFrame %x", got, want)
+			}
+		}
 		checkDecoder(t, data, decodeLoad, LoadRecord.encode, nil)
 		// A table record's trailing index kinds are optional (logs from
 		// before indexes), so only a cut into the columns is garbage.
@@ -382,11 +397,96 @@ func TestSyncPolicies(t *testing.T) {
 					t.Fatalf("SyncGroup issued %d fsyncs, want 3", fsyncs)
 				}
 			case SyncAlways:
-				if fsyncs < 8 {
-					t.Fatalf("SyncAlways issued %d fsyncs, want >= 8", fsyncs)
+				// Root dir + segment dir syncs, then one per record.
+				if fsyncs != 2+8 {
+					t.Fatalf("SyncAlways issued %d fsyncs, want 10", fsyncs)
 				}
 			}
 		})
+	}
+}
+
+// TestOnAppendHandsOverLoggedPayloads: every shard-segment append — a
+// commit batch, a load, a received payload — hands OnAppend each
+// record's timestamp (0 for a load chunk) and the payload bytes it
+// logged, capped at the frame's end, after one fsync per append under
+// SyncGroup. AppendEncoded frames a copy of its payload and refuses,
+// without poisoning the log, one whose timestamp or kind disagrees with
+// ts. Replay reads back exactly the records handed over.
+func TestOnAppendHandsOverLoggedPayloads(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, 1, SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendTable(TableRecord{Name: "t", Rows: 1}); err != nil {
+		t.Fatal(err)
+	}
+	type record struct {
+		ts      uint64
+		payload []byte
+	}
+	var got []record
+	l.OnAppend = func(ts uint64, p []byte) {
+		if cap(p) != len(p) {
+			t.Errorf("payload at ts %d has cap %d past its %d bytes", ts, cap(p), len(p))
+		}
+		got = append(got, record{ts, p})
+	}
+	commits := testRecords(1, 3)
+	loads := []LoadRecord{{Table: 1, Vals: []int64{1, 2}}, {Table: 1, Start: 2, Strs: []string{"s"}, HasStrs: true}}
+	received := testRecords(9, 1)[0]
+	payload := received.encode(nil)
+	fsyncs := l.Fsyncs()
+	if err := l.AppendCommits(0, commits); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendLoads(0, loads); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendEncoded(0, 9, payload); err != nil {
+		t.Fatal(err)
+	}
+	payload[0] = 0xff // the log framed a copy
+	for _, bad := range []struct {
+		ts      uint64
+		payload []byte
+	}{{10, received.encode(nil)}, {0, received.encode(nil)}, {9, payload}, {9, nil}} {
+		if err := l.AppendEncoded(0, bad.ts, bad.payload); err == nil {
+			t.Fatalf("AppendEncoded accepted %x at ts %d", bad.payload, bad.ts)
+		}
+	}
+	if l.Failed() {
+		t.Fatal("a refused payload poisoned the log")
+	}
+	// One segment-directory sync, then one fsync per append.
+	if n := l.Fsyncs() - fsyncs; n != 1+3 {
+		t.Fatalf("%d fsyncs for three appends, want 4", n)
+	}
+	want := []record{
+		{1, commits[0].encode(nil)}, {2, commits[1].encode(nil)}, {3, commits[2].encode(nil)},
+		{0, loads[0].encode(nil)}, {0, loads[1].encode(nil)}, {9, received.encode(nil)},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("OnAppend got %v, want %v", got, want)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Open(dir, 1, SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var replayed []record
+	if err := l.ReplayCommits(
+		func(r LoadRecord) error { replayed = append(replayed, record{0, r.encode(nil)}); return nil },
+		func(r CommitRecord) error { replayed = append(replayed, record{r.TS, r.encode(nil)}); return nil },
+	); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replayed, want) {
+		t.Fatalf("replayed %v, want %v", replayed, want)
 	}
 }
 
@@ -477,8 +577,8 @@ func TestTornFrameLengthBoundedByFile(t *testing.T) {
 // never panic, and they allocate in proportion to the bytes present —
 // never what a length prefix claims.
 func FuzzWALFraming(f *testing.F) {
-	table := appendFrame(nil, TableRecord{Name: "t", Rows: 8, Columns: []ColumnDef{{Name: "v"}}}.encode(nil))
-	commit := appendFrame(nil, testRecords(1, 1)[0].encode(nil))
+	table := appendFramed(nil, TableRecord{Name: "t", Rows: 8, Columns: []ColumnDef{{Name: "v"}}}.encode)
+	commit := appendFramed(nil, testRecords(1, 1)[0].encode)
 	for _, seed := range [][]byte{
 		nil,
 		commit,

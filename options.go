@@ -97,12 +97,6 @@ func WithCostModel(m CostModel) Option {
 	return func(c *config) { c.cost = m }
 }
 
-// WithPageSize sets the simulated page size in bytes (default 4096;
-// the huge-page ablation of the paper uses 2 MiB).
-func WithPageSize(n int) Option {
-	return func(c *config) { c.pageSize = n }
-}
-
 // WithSnapshotRefresh makes OLAP snapshots refresh after every n
 // commits: a new snapshot generation is started once n commits have
 // completed since the current generation's timestamp. n == 0 disables

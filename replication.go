@@ -18,7 +18,10 @@ import (
 // Replication: a primary streams its durable WAL record payloads —
 // commit, bulk-load and schema-log records, byte-identical to what its
 // own crash recovery would replay — to read replicas over the framed
-// protocol in internal/repl. A replica applies the stream continuously
+// protocol in internal/repl. Each payload is its record's one encoding:
+// the bytes of the primary's WAL frame, staged by the append hook and
+// logged by a replica exactly as received, so a chained replica streams
+// the primary's bytes on. A replica applies the stream continuously
 // through the idempotent-by-commitTS apply rules recovery runs — the
 // same functions (apply.go), so primary and replica state converge by
 // construction: replication IS recovery over the wire, bootstrapped by
@@ -65,20 +68,18 @@ const dialHandshakeTimeout = 10 * time.Second
 // deadline a stall during the initial bootstrap hangs Open forever.
 const bootstrapFrameTimeout = 30 * time.Second
 
-// startPublisher wires the WAL append hooks into a record publisher.
-// Called during Open, before the DB is shared, on any serving database
-// with durability enabled.
+// startPublisher wires the WAL append hooks into a record publisher:
+// every commit and load record is staged as the payload bytes its WAL
+// frame holds, with no encoding of its own. Called during Open, before
+// the DB is shared, on any serving database with durability enabled.
 func (db *DB) startPublisher() {
 	db.pub = repl.NewPublisher(replHistCap)
-	db.wal.OnAppend = func(_ int, recs []wal.CommitRecord) {
-		for _, r := range recs {
-			db.pub.Stage(repl.Record{TS: r.TS, Type: repl.MsgCommit, Payload: r.Encode()})
+	db.wal.OnAppend = func(ts uint64, payload []byte) {
+		typ := repl.MsgCommit
+		if ts == 0 {
+			typ = repl.MsgLoad
 		}
-	}
-	db.wal.OnLoad = func(_ int, recs []wal.LoadRecord) {
-		for _, r := range recs {
-			db.pub.Stage(repl.Record{Type: repl.MsgLoad, Payload: r.Encode()})
-		}
+		db.pub.Stage(repl.Record{TS: ts, Type: typ, Payload: payload})
 	}
 	db.wal.OnSchema = func(seq uint64, payload []byte) {
 		db.pub.Stage(repl.Record{Type: repl.MsgSchema, Payload: schemaFrame(seq, payload)})
@@ -721,9 +722,10 @@ func (r *replicaState) stream(c *repl.Conn) error {
 					} else if len(rec.Writes) > 0 {
 						logShard = db.shardOf(mvcc.ColumnID{Table: rec.Writes[0].Table, Col: rec.Writes[0].Col})
 					}
-					// Failure poisons the log and surfaces through
-					// Stats/metrics; serving from memory stays correct.
-					_ = db.wal.AppendCommits(logShard, []wal.CommitRecord{rec})
+					// The received bytes, logged verbatim. Failure
+					// poisons the log and surfaces through Stats/metrics;
+					// serving from memory stays correct.
+					_ = db.wal.AppendEncoded(logShard, rec.TS, payload)
 					db.kickAutoCkpt()
 				}
 			}
@@ -734,7 +736,7 @@ func (r *replicaState) stream(c *repl.Conn) error {
 				return err
 			}
 			if db.applyLoad(rec) && db.wal != nil {
-				_ = db.wal.AppendLoads(db.shardOf(mvcc.ColumnID{Table: rec.Table, Col: rec.Col}), []wal.LoadRecord{rec})
+				_ = db.wal.AppendEncoded(db.shardOf(mvcc.ColumnID{Table: rec.Table, Col: rec.Col}), 0, payload)
 				db.kickAutoCkpt()
 			}
 			r.frames.Add(1)

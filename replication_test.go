@@ -1,12 +1,15 @@
 package ankerdb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -697,6 +700,115 @@ func TestReplicationChained(t *testing.T) {
 			t.Errorf("primary: %d connected replicas, %d lag acks; want 2 and some", st.ConnectedReplicas, st.ReplicaLagHist.Count)
 		}
 	})
+}
+
+// TestReplicaWALMatchesPrimary: a commit or load record is encoded
+// once, by the primary's WAL, and a durable replica and a durable
+// replica chained behind it log the bytes they received. After a kind-1
+// commit, a VARCHAR write, a kind-3 insert/delete commit, a Load and a
+// LoadStrings chunk, every commit payload in the three directories'
+// segments is byte-identical under its timestamp, and each replica
+// holds every load chunk the primary logged.
+func TestReplicaWALMatchesPrimary(t *testing.T) {
+	const rows = 64
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	p := openPrimary(t, WithDurability(dirs[0]), WithInitialSchema(NewSchema("kv").Int64("v").Varchar("s").Build(), rows))
+	durable := func(dir string) []Option {
+		return []Option{WithDurability(dir), WithSyncPolicy(SyncNone), WithServeAddr("127.0.0.1:0")}
+	}
+	mid := openReplicaOf(t, p.ServeAddr(), durable(dirs[1])...)
+	leaf := openReplicaOf(t, mid.ServeAddr(), durable(dirs[2])...)
+
+	commitWrite(t, p, "kv", "v", 1, 11)
+	tx, err := p.Begin(OLTP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.SetString("kv", "s", 2, "varchar"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if tx, err = p.Begin(OLTP); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert("kv", map[string]any{"v": int64(7), "s": "born"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete("kv", 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Load("kv", "v", []int64{5, 6, 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.LoadStrings("kv", "s", []string{"a", "", "ccc"}); err != nil {
+		t.Fatal(err)
+	}
+	ts := commitWrite(t, p, "kv", "v", 4, 44) // streamed after the loads
+	waitReplicaTS(t, mid, ts)
+	waitReplicaTS(t, leaf, ts)
+	for _, db := range []*DB{leaf, mid, p} {
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want, wantLoads := walPayloads(t, dirs[0])
+	if len(want) != 4 || len(wantLoads) != 2 {
+		t.Fatalf("primary logged %d commits and %d load chunks, want 4 and 2", len(want), len(wantLoads))
+	}
+	for i, name := range []string{"replica", "chained replica"} {
+		got, loads := walPayloads(t, dirs[i+1])
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s logged commits %x, primary %x", name, got, want)
+		}
+		if !slices.Equal(loads, wantLoads) {
+			t.Errorf("%s logged load chunks %x, primary %x", name, loads, wantLoads)
+		}
+	}
+}
+
+// walPayloads reads the record payloads framed in dir's shard segments:
+// commit records by commit timestamp, and load chunks sorted.
+func walPayloads(t *testing.T, dir string) (commits map[uint64][]byte, loads []string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commits = map[uint64][]byte{}
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b = b[min(len(b), 8):]; len(b) > 0; { // past the segment header
+			n := 8 // header length, then the whole frame's
+			if len(b) >= n {
+				n += int(binary.LittleEndian.Uint32(b))
+			}
+			if n <= 8 || n > len(b) {
+				t.Fatalf("%s: torn or empty frame", seg)
+			}
+			payload := b[8:n]
+			b = b[n:]
+			if payload[0] == 2 { // load chunk
+				loads = append(loads, string(payload))
+				continue
+			}
+			ts := binary.LittleEndian.Uint64(payload[1:])
+			if _, dup := commits[ts]; dup {
+				t.Fatalf("%s: commit %d logged twice", dir, ts)
+			}
+			commits[ts] = payload
+		}
+	}
+	slices.Sort(loads)
+	return commits, loads
 }
 
 // TestSessionEmbeddedDB: the embedded *DB satisfies the same Session
